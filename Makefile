@@ -1,4 +1,4 @@
-.PHONY: all build test smoke sweep-check bench-json ci clean
+.PHONY: all build test smoke sweep-check golden golden-update bench-json ci clean
 
 # Cell-level parallelism for the experiment sweeps below. Output and
 # trace exports are byte-identical at any value (see DESIGN.md §11), so
@@ -71,6 +71,17 @@ sweep-check: build
 	cmp _build/sweep/j1.norm _build/sweep/j4.norm
 	dune exec bin/trace_lint.exe -- _build/sweep/j4.json
 
+# The golden-digest contract: every experiment at seed 42, scale 0.05,
+# --jobs 2 with a trace export; the sha256 of each stdout (export path
+# normalised) and of each trace JSON must match the committed
+# GOLDEN.sha256. An intentional output change runs `make golden-update`
+# and records why in CHANGES.md.
+golden: build
+	scripts/golden.sh check
+
+golden-update: build
+	scripts/golden.sh update
+
 # Engine throughput trajectory: run the bench's engine sections (the
 # fig17-shaped hot-path replay against the seed binary-heap engine, the
 # full-work string-vs-handle hot path, the counter and packet-arena
@@ -88,7 +99,7 @@ bench-json: build
 		dune exec bench/main.exe
 	dune exec bin/bench_lint.exe -- _build/BENCH_ENGINE.json BENCH_FLOORS.json
 
-ci: smoke sweep-check
+ci: smoke sweep-check golden
 
 clean:
 	dune clean
