@@ -1,118 +1,78 @@
 open Taichi_engine
-open Taichi_virt
+
+type resilience = {
+  degraded_window : Time_ns.t;
+  degraded_threshold : int;
+  degraded_quiet : Time_ns.t;
+}
+
+type overload = {
+  period : Time_ns.t;
+  min_dwell : Time_ns.t;
+  quiet : Time_ns.t;
+  p99_bound : Time_ns.t;
+  busy_high : float;
+  busy_low : float;
+  runq_high : int;
+  runq_low : int;
+  tokens_per_period : int;
+  token_burst : int;
+}
 
 type t = {
   n_vcpus : int;
-  initial_slice : Time_ns.t;
-  max_slice : Time_ns.t;
-  threshold_init : int;
-  threshold_min : int;
-  threshold_max : int;
-  threshold_dec : int;
-  halt_poll : Time_ns.t;
-  irq_latency : Time_ns.t;
-  borrow_slice : Time_ns.t;
   hw_probe : bool;
   lock_safe_resched : bool;
   adaptive_slice : bool;
   adaptive_threshold : bool;
-  cost : Cost_model.t;
-  resilience : bool;
-  watchdog_period : Time_ns.t;
-  watchdog_bound : Time_ns.t;
-  boot_retry_timeout : Time_ns.t;
-  boot_retry_max : int;
-  ipi_retry_timeout : Time_ns.t;
-  ipi_retry_max : int;
-  mirror_resync_period : Time_ns.t;
-  degraded_window : Time_ns.t;
-  degraded_threshold : int;
-  degraded_quiet : Time_ns.t;
-  overload : bool;
-  overload_period : Time_ns.t;
-  overload_min_dwell : Time_ns.t;
-  overload_quiet : Time_ns.t;
-  overload_p99_bound : Time_ns.t;
-  overload_busy_high : float;
-  overload_busy_low : float;
-  overload_runq_high : int;
-  overload_runq_low : int;
-  overload_tokens_per_period : int;
-  overload_token_burst : int;
   tenants : Tenant.spec list;
-  (* Tenant churn: live admit/retire with graceful drain. [churn] arms
-     the lifecycle manager; [spare_vcpus] and [float_services] provision
-     the unassigned pool dynamic tenants draw from. *)
+  resilience : resilience option;
+  overload : overload option;
   churn : bool;
-  spare_vcpus : int;
-  float_services : int;
-  drain_window : Time_ns.t;  (** bound on graceful drain before force *)
-  drain_poll : Time_ns.t;  (** quiescence re-check period while draining *)
-  admit_retry_base : Time_ns.t;  (** first backoff step after a refusal *)
-  admit_retry_cap : Time_ns.t;  (** backoff ceiling *)
-  admit_retry_max : int;  (** attempts before the admission is abandoned *)
 }
+
+let default_resilience =
+  {
+    degraded_window = Time_ns.ms 2;
+    degraded_threshold = 12;
+    degraded_quiet = Time_ns.ms 4;
+  }
+
+let default_overload =
+  {
+    period = Time_ns.us 200;
+    min_dwell = Time_ns.us 400;
+    quiet = Time_ns.ms 1;
+    p99_bound = Time_ns.us 150;
+    busy_high = 0.85;
+    busy_low = 0.50;
+    runq_high = 6;
+    runq_low = 2;
+    tokens_per_period = 4;
+    token_burst = 8;
+  }
 
 let default =
   {
     n_vcpus = 8;
-    initial_slice = Time_ns.us 50;
-    max_slice = Time_ns.us 100;
-    threshold_init = 200;
-    threshold_min = 50;
-    threshold_max = 1000;
-    threshold_dec = 50;
-    halt_poll = Time_ns.us 10;
-    irq_latency = Time_ns.ns 300;
-    borrow_slice = Time_ns.us 50;
     hw_probe = true;
     lock_safe_resched = true;
     adaptive_slice = true;
     adaptive_threshold = true;
-    cost = Cost_model.default;
-    resilience = false;
-    watchdog_period = Time_ns.us 100;
-    watchdog_bound = Time_ns.ms 1;
-    boot_retry_timeout = Time_ns.ms 12;
-    boot_retry_max = 10;
-    ipi_retry_timeout = Time_ns.us 10;
-    ipi_retry_max = 3;
-    mirror_resync_period = Time_ns.us 50;
-    degraded_window = Time_ns.ms 2;
-    degraded_threshold = 12;
-    degraded_quiet = Time_ns.ms 4;
-    overload = false;
-    overload_period = Time_ns.us 200;
-    overload_min_dwell = Time_ns.us 400;
-    overload_quiet = Time_ns.ms 1;
-    overload_p99_bound = Time_ns.us 150;
-    overload_busy_high = 0.85;
-    overload_busy_low = 0.50;
-    overload_runq_high = 6;
-    overload_runq_low = 2;
-    overload_tokens_per_period = 4;
-    overload_token_burst = 8;
     tenants = [];
+    resilience = None;
+    overload = None;
     churn = false;
-    spare_vcpus = 0;
-    float_services = 0;
-    drain_window = Time_ns.ms 2;
-    drain_poll = Time_ns.us 100;
-    admit_retry_base = Time_ns.us 200;
-    admit_retry_cap = Time_ns.ms 2;
-    admit_retry_max = 8;
   }
 
 let no_hw_probe t = { t with hw_probe = false }
 let fixed_slice t = { t with adaptive_slice = false }
 let fixed_threshold t = { t with adaptive_threshold = false }
 let unsafe_locks t = { t with lock_safe_resched = false }
-let resilient t = { t with resilience = true }
-let with_overload t = { t with overload = true }
+let resilient t = { t with resilience = Some default_resilience }
+let with_overload t = { t with overload = Some default_overload }
 let with_tenants t specs = { t with tenants = specs }
-
-let with_churn ?(spare_vcpus = 4) ?(float_services = 2) t =
-  { t with churn = true; spare_vcpus; float_services }
+let with_churn t = { t with churn = true }
 
 (* Note: builds a FRESH table on every call. Static callers may do this
    freely (the table is then immutable in practice); the platform builds

@@ -1,108 +1,100 @@
 (** Tai Chi configuration.
 
-    All tunables of the scheduling framework in one record. Values marked
-    "paper" are taken directly from the publication; the rest are
-    consistent order-of-magnitude engineering choices documented here. *)
+    Only what a deployment or an experiment actually chooses: the vCPU
+    count, the four §6.4 ablation switches, the tenant table, and the
+    optional subsystems. An optional subsystem is an [option] carrying
+    its own parameters, so a disarmed subsystem has no parameters to
+    set.
+
+    The paper fixes its timings as properties of the mechanism (§4.1,
+    §4.3), so they are constants in the one module that reads each:
+    - {!Vcpu_sched}: [initial_slice], [max_slice], [halt_poll],
+      [borrow_slice], [watchdog_period], [watchdog_bound];
+    - {!Sw_probe}: [threshold_init], [threshold_min], [threshold_max],
+      [threshold_dec];
+    - {!Hw_probe}: [irq_latency];
+    - {!Ipi_orchestrator}: [boot_retry_timeout], [boot_retry_max],
+      [ipi_retry_timeout], [ipi_retry_max];
+    - {!Taichi}: [mirror_resync_period];
+    - {!Lifecycle}: [spare_vcpus], [float_services], [drain_window],
+      [drain_poll], [admit_retry_base], [admit_retry_cap],
+      [admit_retry_max].
+
+    Virtualization costs are [Taichi_virt.Cost_model.default]. *)
 
 open Taichi_engine
-open Taichi_virt
 
-type t = {
-  n_vcpus : int;
-      (** over-provisioned vCPUs registered as native CPUs; default one per
-          data-plane core *)
-  initial_slice : Time_ns.t;  (** paper: 50 µs (§4.1) *)
-  max_slice : Time_ns.t;
-      (** cap for the doubling slice (100 µs); bounds worst-case data-plane
-          recovery when the hardware probe is absent *)
-  threshold_init : int;
-      (** initial empty-poll count N before a yield (§4.3) *)
-  threshold_min : int;
-  threshold_max : int;
-  threshold_dec : int;  (** additive decrease on sustained idleness *)
-  halt_poll : Time_ns.t;
-      (** how long a workless vCPU may linger before a Halt exit *)
-  irq_latency : Time_ns.t;
-      (** accelerator-to-core IRQ delivery latency for the hardware probe *)
-  borrow_slice : Time_ns.t;
-      (** re-check period while a lock-holding vCPU borrows a CP pCPU *)
-  hw_probe : bool;  (** enable the hardware workload probe *)
-  lock_safe_resched : bool;
-      (** enable §4.1 safe CP-to-DP scheduling in lock context *)
-  adaptive_slice : bool;  (** double the slice on expiry exits *)
-  adaptive_threshold : bool;  (** adapt N from VM-exit reasons *)
-  cost : Cost_model.t;
-  resilience : bool;
-      (** arm the recovery machinery (watchdogs, retries, mirror resync,
-          degraded mode). Off by default: the timers it schedules would
-          perturb the deterministic event order of happy-path runs. *)
-  watchdog_period : Time_ns.t;  (** hung-vCPU watchdog scan cadence *)
-  watchdog_bound : Time_ns.t;
-      (** max time a vCPU may stay placed with eviction pressure (pending
-          DP work, lock-bound, or borrowing) before the watchdog escalates *)
-  boot_retry_timeout : Time_ns.t;
-      (** hotplug boot watchdog: re-issue the boot IPI if the vCPU is not
-          online after this long (doubles per retry) *)
-  boot_retry_max : int;
-  ipi_retry_timeout : Time_ns.t;
-      (** wakeup-IPI delivery watchdog: re-poke an unplaced vCPU with
-          pending work after this long (doubles per retry) *)
-  ipi_retry_max : int;
-  mirror_resync_period : Time_ns.t;
-      (** state-table divergence detector cadence *)
+type resilience = {
   degraded_window : Time_ns.t;
       (** sliding window over recovery events for the degraded trigger *)
   degraded_threshold : int;
       (** recovery events within [degraded_window] that trip degraded mode *)
   degraded_quiet : Time_ns.t;
       (** recovery-quiet time before co-scheduling re-arms *)
-  overload : bool;
-      (** arm the overload governor (live brownout ladder). Off by
-          default for the same reason as [resilience]: its sampling timer
-          would perturb the event order of existing runs. *)
-  overload_period : Time_ns.t;  (** governor sampling cadence *)
-  overload_min_dwell : Time_ns.t;
+}
+(** Degraded-mode parameters of the recovery machinery. *)
+
+type overload = {
+  period : Time_ns.t;  (** governor sampling cadence *)
+  min_dwell : Time_ns.t;
       (** minimum time at a ladder level before the next transition *)
-  overload_quiet : Time_ns.t;
+  quiet : Time_ns.t;
       (** how long every signal must stay below its low watermark before
           the ladder relaxes one rung *)
-  overload_p99_bound : Time_ns.t;
+  p99_bound : Time_ns.t;
       (** sliding-window DP p99 latency guardrail (escalation signal) *)
-  overload_busy_high : float;
+  busy_high : float;
       (** DP-core busy fraction above which the occupancy signal trips *)
-  overload_busy_low : float;  (** busy fraction below which it clears *)
-  overload_runq_high : int;
+  busy_low : float;  (** busy fraction below which it clears *)
+  runq_high : int;
       (** summed vCPU-host runqueue depth above which the queue signal
           trips *)
-  overload_runq_low : int;  (** runqueue depth below which it clears *)
-  overload_tokens_per_period : int;
-      (** CP placement/admission tokens refilled per [overload_period] at
-          the Throttle rung (deeper rungs halve this) *)
-  overload_token_burst : int;  (** token-bucket capacity *)
+  runq_low : int;  (** runqueue depth below which it clears *)
+  tokens_per_period : int;
+      (** CP placement/admission tokens refilled per [period] at the
+          Throttle rung (deeper rungs halve this) *)
+  token_burst : int;  (** token-bucket capacity *)
+}
+(** Overload-governor parameters. *)
+
+type t = {
+  n_vcpus : int;
+      (** over-provisioned vCPUs registered as native CPUs; default one per
+          data-plane core *)
+  hw_probe : bool;  (** enable the hardware workload probe *)
+  lock_safe_resched : bool;
+      (** enable §4.1 safe CP-to-DP scheduling in lock context *)
+  adaptive_slice : bool;  (** double the slice on expiry exits *)
+  adaptive_threshold : bool;  (** adapt N from VM-exit reasons *)
   tenants : Tenant.spec list;
       (** explicit multi-tenant table; [[]] (the default) runs the
           implicit single tenant and keeps every pre-existing experiment
           byte-identical to the seed baselines *)
+  resilience : resilience option;
+      (** arm the recovery machinery (watchdogs, retries, mirror resync,
+          degraded mode). [None] by default: the timers it schedules would
+          perturb the deterministic event order of happy-path runs. *)
+  overload : overload option;
+      (** arm the overload governor (live brownout ladder). [None] by
+          default for the same reason as [resilience]: its sampling timer
+          would perturb the event order of existing runs. *)
   churn : bool;
       (** arm the tenant-churn lifecycle manager (live admit/retire with
-          graceful drain); off by default so static runs build no pool *)
-  spare_vcpus : int;
-      (** unassigned vCPUs provisioned at boot for dynamically admitted
-          tenants to draw on *)
-  float_services : int;
-      (** DP services (taken from the end of the service list) that the
-          lifecycle may float to dynamic tenants and back *)
-  drain_window : Time_ns.t;
-      (** bound on a graceful drain; overrun escalates to force-retire *)
-  drain_poll : Time_ns.t;  (** quiescence re-check period while draining *)
-  admit_retry_base : Time_ns.t;
-      (** first backoff step after an admission refusal *)
-  admit_retry_cap : Time_ns.t;  (** capped-backoff ceiling *)
-  admit_retry_max : int;  (** attempts before an admission is abandoned *)
+          graceful drain) over {!Lifecycle}'s provisioned pool; off by
+          default so static runs build no pool *)
 }
 
+val default_resilience : resilience
+(** Degraded mode after 12 recovery events within 2 ms; re-arm after
+    4 ms of quiet. *)
+
+val default_overload : overload
+(** Sample every 200 µs; 400 µs minimum dwell; relax after 1 ms quiet;
+    150 µs DP p99 guardrail. *)
+
 val default : t
-(** The full Tai Chi configuration: everything enabled, paper timings. *)
+(** The full Tai Chi configuration: everything enabled, no optional
+    subsystem armed. *)
 
 val no_hw_probe : t -> t
 (** §6.4 ablation: disable the hardware workload probe. *)
@@ -117,20 +109,20 @@ val unsafe_locks : t -> t
 (** Ablation: disable lock-context safe rescheduling. *)
 
 val resilient : t -> t
-(** Arm the recovery machinery (see [resilience]). Used by the [chaos]
-    experiment; plain experiments keep it off so their event schedules
-    stay bit-for-bit identical to earlier releases. *)
+(** Arm the recovery machinery with {!default_resilience}. Used by the
+    [chaos] experiment; plain experiments keep it off so their event
+    schedules stay bit-for-bit identical to earlier releases. *)
 
 val with_overload : t -> t
-(** Arm the overload governor (see [overload]). Like [resilient], an
-    explicit opt-in so default runs schedule no governor timer. *)
+(** Arm the overload governor with {!default_overload}. Like
+    [resilient], an explicit opt-in so default runs schedule no governor
+    timer. *)
 
 val with_tenants : t -> Tenant.spec list -> t
 (** Configure an explicit tenant table (see [tenants]). *)
 
-val with_churn : ?spare_vcpus:int -> ?float_services:int -> t -> t
-(** Arm the tenant-churn lifecycle (see [churn]); defaults provision 4
-    spare vCPUs and 2 floating DP services for dynamic tenants. *)
+val with_churn : t -> t
+(** Arm the tenant-churn lifecycle (see [churn]). *)
 
 val tenant_table : t -> Tenant.table
 (** The registry derived from [tenants]: {!Tenant.single} when the list

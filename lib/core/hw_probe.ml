@@ -2,8 +2,9 @@ open Taichi_engine
 open Taichi_hw
 open Taichi_accel
 
+let irq_latency = Time_ns.ns 300 (* accelerator-to-core IRQ delivery *)
+
 type t = {
-  config : Config.t;
   machine : Machine.t;
   sim : Sim.t;
   table : State_table.t;
@@ -22,16 +23,15 @@ let fire t ~core =
   Counters.incr_h (Machine.counters t.machine) t.h_triggers;
   Trace.emitf (Machine.trace t.machine) ~time:(Sim.now t.sim) ~core
     ~category:Trace.Cat.probe_hw "irq scheduled in %dns"
-    t.config.Config.irq_latency;
+    irq_latency;
   ignore
-    (Sim.after t.sim t.config.Config.irq_latency (fun () ->
+    (Sim.after t.sim irq_latency (fun () ->
          Hashtbl.remove t.pending core;
          Vcpu_sched.on_probe_irq t.sched ~core))
 
 let install config machine table pipeline sched =
   let t =
     {
-      config;
       machine;
       sim = Machine.sim machine;
       table;

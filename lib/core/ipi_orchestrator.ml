@@ -10,8 +10,17 @@ type stats = {
   reissued : int;
 }
 
+(* Hotplug boot watchdog: re-issue the boot IPI if the vCPU is not online
+   after [boot_retry_timeout] (doubling per retry). Wakeup-IPI delivery
+   watchdog: re-poke an unplaced vCPU with pending work after
+   [ipi_retry_timeout] (doubling per retry). *)
+let boot_retry_timeout = Time_ns.ms 12
+let boot_retry_max = 10
+let ipi_retry_timeout = Time_ns.us 10
+let ipi_retry_max = 3
+
 type t = {
-  config : Config.t;
+  resilient : bool;
   machine : Machine.t;
   kernel : Kernel.t;
   sched : Vcpu_sched.t;
@@ -45,7 +54,7 @@ let rec wakeup_retry t v ~timeout ~retries ~started =
            Recovery.note t.recovery ~cls:"ipi" ~action:"retry"
              ~latency:(Sim.now (Machine.sim t.machine) - started);
            Vcpu_sched.poke t.sched ~kcpu:v.Vcpu.kcpu;
-           if retries + 1 < t.config.Config.ipi_retry_max then
+           if retries + 1 < ipi_retry_max then
              wakeup_retry t v ~timeout:(2 * timeout) ~retries:(retries + 1)
                ~started
          end))
@@ -61,7 +70,7 @@ let intercept t ~src ~dst ~vector:_ =
       | Some core ->
           Accounting.charge
             (Machine.accounting t.machine)
-            ~core Accounting.Switch t.config.Config.cost.Cost_model.light_exit
+            ~core Accounting.Switch Cost_model.default.Cost_model.light_exit
       | None -> ())
   | Some _ | None -> ());
   (* Destination side. *)
@@ -78,12 +87,8 @@ let intercept t ~src ~dst ~vector:_ =
         (* Awaken the sleeping vCPU, then deliver. *)
         t.s_wakeups <- t.s_wakeups + 1;
         Vcpu_sched.poke t.sched ~kcpu:dst;
-        if
-          t.config.Config.resilience
-          && Machine.fault_injection_active t.machine
-        then
-          wakeup_retry t v ~timeout:t.config.Config.ipi_retry_timeout
-            ~retries:0
+        if t.resilient && Machine.fault_injection_active t.machine then
+          wakeup_retry t v ~timeout:ipi_retry_timeout ~retries:0
             ~started:(Sim.now (Machine.sim t.machine));
         Machine.Deliver
       end
@@ -91,7 +96,7 @@ let intercept t ~src ~dst ~vector:_ =
 let install config machine kernel sched recovery =
   let t =
     {
-      config;
+      resilient = Option.is_some config.Config.resilience;
       machine;
       kernel;
       sched;
@@ -116,10 +121,7 @@ let install config machine kernel sched recovery =
 let rec boot_watchdog t kcpu ~on_online ~timeout ~retries ~started =
   ignore
     (Sim.after (Machine.sim t.machine) timeout (fun () ->
-         if
-           (not (Kernel.is_online kcpu))
-           && retries < t.config.Config.boot_retry_max
-         then begin
+         if (not (Kernel.is_online kcpu)) && retries < boot_retry_max then begin
            Recovery.note t.recovery ~cls:"boot" ~action:"retry"
              ~latency:(Sim.now (Machine.sim t.machine) - started);
            Kernel.boot t.kernel kcpu ~src:0 ~on_online ();
@@ -127,9 +129,7 @@ let rec boot_watchdog t kcpu ~on_online ~timeout ~retries ~started =
               steady cadence converges, while uncapped doubling would
               blow through the warmup deadline before exhausting the
               retry allowance. *)
-           let next =
-             min (2 * timeout) (4 * t.config.Config.boot_retry_timeout)
-           in
+           let next = min (2 * timeout) (4 * boot_retry_timeout) in
            boot_watchdog t kcpu ~on_online ~timeout:next
              ~retries:(retries + 1) ~started
          end))
@@ -140,16 +140,15 @@ let register_vcpus t ~first_kcpu ~count =
       let kcpu = Kernel.add_virtual_cpu t.kernel ~id:kcpu_id in
       let v =
         Vcpu.create ~vid:i ~kcpu:kcpu_id
-          ~initial_slice:t.config.Config.initial_slice
+          ~initial_slice:Vcpu_sched.initial_slice
       in
       Hashtbl.replace t.vcpu_kcpus kcpu_id v;
       Vcpu_sched.add_vcpu t.sched v;
       let on_online () = t.online <- t.online + 1 in
       Kernel.boot t.kernel kcpu ~src:0 ~on_online ();
-      if t.config.Config.resilience then
-        boot_watchdog t kcpu ~on_online
-          ~timeout:t.config.Config.boot_retry_timeout ~retries:0
-          ~started:(Sim.now (Machine.sim t.machine));
+      if t.resilient then
+        boot_watchdog t kcpu ~on_online ~timeout:boot_retry_timeout
+          ~retries:0 ~started:(Sim.now (Machine.sim t.machine));
       v)
 
 let online_vcpus t = t.online

@@ -27,8 +27,8 @@ val install :
 (** Installs the machine IPI interceptor. With [config.resilience] and an
     active fault injector, wakeup IPIs to sleeping vCPUs are guarded by a
     delivery watchdog: if the target is still unplaced with pending work
-    after [ipi_retry_timeout], it is re-poked with exponential backoff, up
-    to [ipi_retry_max] attempts ([recovery.ipi.retry]). *)
+    after 10 µs, it is re-poked with exponential backoff, up to 3
+    attempts ([recovery.ipi.retry]). *)
 
 val register_vcpus : t -> first_kcpu:int -> count:int -> Vcpu.t list
 (** [register_vcpus t ~first_kcpu ~count] creates [count] vCPUs backed by
@@ -36,9 +36,8 @@ val register_vcpus : t -> first_kcpu:int -> count:int -> Vcpu.t list
     and the scheduler, and initiates their hotplug boot. Returns the
     vCPUs; they come online after the kernel's boot delay elapses in
     simulated time. With [config.resilience], each boot is watched: a vCPU
-    not online after [boot_retry_timeout] gets its boot IPI re-issued with
-    a doubling timeout, up to [boot_retry_max] attempts
-    ([recovery.boot.retry]). *)
+    not online after 12 ms gets its boot IPI re-issued with a doubling
+    timeout (capped at 48 ms), up to 10 attempts ([recovery.boot.retry]). *)
 
 val online_vcpus : t -> int
 (** vCPUs that completed hotplug so far. *)

@@ -5,6 +5,14 @@ open Taichi_virt
 open Taichi_accel
 open Taichi_dataplane
 
+let spare_vcpus = 4
+let float_services = 2
+let drain_window = Time_ns.ms 2
+let drain_poll = Time_ns.us 100 (* quiescence re-check while draining *)
+let admit_retry_base = Time_ns.us 200 (* first backoff after a refusal *)
+let admit_retry_cap = Time_ns.ms 2 (* backoff ceiling *)
+let admit_retry_max = 8 (* attempts before the admission is abandoned *)
+
 type refusal = Backpressure | No_vcpus | No_services
 
 let refusal_label = function
@@ -23,7 +31,6 @@ type assignment = {
 }
 
 type t = {
-  config : Config.t;
   sim : Sim.t;
   machine : Machine.t;
   kernel : Kernel.t;
@@ -55,12 +62,11 @@ let emitf t fmt =
   Trace.emitf (Machine.trace t.machine) ~time:(Sim.now t.sim)
     ~core:Trace.no_core ~category:Trace.Cat.churn fmt
 
-let create ~config ~machine ~kernel ~sched ~overload ~tenants ~spares ~floats
+let create ~machine ~kernel ~sched ~overload ~tenants ~spares ~floats
     ~cp_pcpus ~dps ~recovery =
   let h = Counters.handle (Machine.counters machine) in
   let t =
     {
-      config;
       sim = Machine.sim machine;
       machine;
       kernel;
@@ -232,21 +238,21 @@ let admit t ?(vcpus = 1) ?(services = 1) (spec : Tenant.spec) =
    so two runs with the same seed retry at the same instants. *)
 let admit_with_backoff t ?on_refused ?vcpus ?services (spec : Tenant.spec)
     ~on_admitted ~on_abandoned =
-  let base = t.config.Config.admit_retry_base in
-  let cap = t.config.Config.admit_retry_cap in
   let rec attempt n =
     match admit t ?vcpus ?services spec with
     | Ok id -> on_admitted id
     | Error r ->
         (match on_refused with None -> () | Some f -> f r);
-        if n >= t.config.Config.admit_retry_max then begin
+        if n >= admit_retry_max then begin
           count t t.h_admit_abandoned;
           emitf t "abandoned name=%s attempts=%d" spec.Tenant.name n;
           on_abandoned r
         end
         else begin
           count t t.h_admit_retries;
-          let delay = min cap (base * (1 lsl min n 20)) in
+          let delay =
+            min admit_retry_cap (admit_retry_base * (1 lsl min n 20))
+          in
           ignore (Sim.after t.sim delay (fun () -> attempt (n + 1)))
         end
   in
@@ -291,7 +297,7 @@ let force_drain t ~tenant a =
       if n > 0 then count ~by:n t t.h_drain_discarded)
     a.services;
   Recovery.note t.recovery ~cls:"drain" ~action:"forced"
-    ~latency:t.config.Config.drain_window
+    ~latency:drain_window
 
 let finalize t ~tenant a =
   Vcpu_sched.retire_tenant t.sched ~tenant;
@@ -329,12 +335,12 @@ let retire t ~tenant =
   in
   Tenant.set_phase t.tenants tenant Tenant.Draining;
   count t t.h_drains;
-  emitf t "drain tenant=%d window=%d" tenant t.config.Config.drain_window;
+  emitf t "drain tenant=%d window=%d" tenant drain_window;
   (* A departing tenant's parked CP admissions must never run. *)
   (match t.overload with
   | Some ov -> Overload.quiesce_lane ov ~tenant
   | None -> ());
-  let deadline = Sim.now t.sim + t.config.Config.drain_window in
+  let deadline = Sim.now t.sim + drain_window in
   let rec poll () =
     if quiesced t ~tenant a then finalize t ~tenant a
     else begin
@@ -349,10 +355,10 @@ let retire t ~tenant =
             let n = Dp_service.discard_backlog dp in
             if n > 0 then count ~by:n t t.h_drain_discarded)
           a.services;
-      ignore (Sim.after t.sim t.config.Config.drain_poll poll)
+      ignore (Sim.after t.sim drain_poll poll)
     end
   in
-  ignore (Sim.after t.sim t.config.Config.drain_poll poll)
+  ignore (Sim.after t.sim drain_poll poll)
 
 let drain_violations t ~tenant =
   match Hashtbl.find_opt t.assigned tenant with

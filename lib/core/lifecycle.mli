@@ -2,16 +2,16 @@
     drain.
 
     Built by {!Taichi.install} only when [Config.churn] is set, on top of
-    a provisioned pool — [Config.spare_vcpus] vCPUs booted unassigned
-    (tenant [-1], never scheduled) and [Config.float_services] DP
-    services that can float from their resting owner to a dynamic tenant
-    and back.
+    a provisioned pool — {!spare_vcpus} vCPUs booted unassigned
+    (tenant [-1], never scheduled) and {!float_services} DP services
+    that can float from their resting owner to a dynamic tenant and
+    back.
 
     {b Admission} ({!admit}) is refusable: under governor backpressure or
     an exhausted pool it returns [Error] with a reason, counted under
     [churn.admit_refused.*]. {!admit_with_backoff} retries a refusal with
     deterministic capped exponential backoff
-    ([min(cap, base * 2^attempt)], at most [admit_retry_max] attempts).
+    ([min(2 ms, 200 µs * 2^attempt)], at most 8 attempts).
     A successful admission creates the tenant's weighted-queue lane at
     the active minimum virtual clock (no banked credit on re-admission),
     its overload-governor lane, and its counter/trace lanes, then binds
@@ -20,9 +20,9 @@
     {b Retirement} ({!retire}) walks [Active -> Draining -> Retired].
     Draining sheds the tenant's parked deferred admissions, refuses new
     CP spawns (via {!accepting}), and polls for quiescence every
-    [drain_poll]: registered tasks finished, vCPUs unplaced/unqueued/
+    100 µs: registered tasks finished, vCPUs unplaced/unqueued/
     workless, rings and in-flight DP packets drained. If the window
-    ([drain_window]) overruns, the drain escalates exactly once —
+    ({!drain_window}) overruns, the drain escalates exactly once —
     remaining tasks are cancelled (reaped at their next preemptible
     boundary), placed vCPUs force-evicted, queue entries flushed, ring
     backlog discarded, with a [Recovery] "drain/forced" receipt — and
@@ -36,10 +36,20 @@
     retired tenant must own no vCPU, queue entry, unfinished task,
     service or resident ring descriptor. *)
 
+open Taichi_engine
 open Taichi_hw
 open Taichi_os
 open Taichi_virt
 open Taichi_dataplane
+
+(** The provisioned pool: 4 unassigned vCPUs booted for dynamically
+    admitted tenants, and 2 DP services (from the end of the service
+    list) that may float to them and back. A graceful drain is bounded
+    by [drain_window] (2 ms); overrun escalates to force-retire. *)
+
+val spare_vcpus : int
+val float_services : int
+val drain_window : Time_ns.t
 
 type t
 
@@ -48,7 +58,6 @@ type refusal = Backpressure | No_vcpus | No_services
 val refusal_label : refusal -> string
 
 val create :
-  config:Config.t ->
   machine:Machine.t ->
   kernel:Kernel.t ->
   sched:Vcpu_sched.t ->
@@ -82,7 +91,7 @@ val admit_with_backoff :
   on_abandoned:(refusal -> unit) ->
   unit
 (** {!admit} with deterministic capped-exponential retry on refusal;
-    abandons (counted) after [Config.admit_retry_max] attempts.
+    abandons (counted) after 8 attempts.
     [?on_refused] fires on every individual refusal (including the final
     one before an abandon) — the fleet failover manager uses it to record
     per-NIC pushback receipts. *)

@@ -81,7 +81,7 @@ type cells = {
 }
 
 type t = {
-  config : Config.t;
+  params : Config.overload;
   machine : Machine.t;
   kernel : Kernel.t;
   recovery : Recovery.t;
@@ -123,10 +123,10 @@ let lane_count t l c =
   Counters.incr_h t.ctr c.ch;
   if l.tagged then Counters.lane_incr c.cl l.tid
 
-let make_lane config ~tid ~tagged =
+let make_lane (p : Config.overload) ~tid ~tagged =
   (* The sketch window spans a handful of sampling periods, so the p99
      signal reflects the recent regime, not the whole run. *)
-  let slice = Stdlib.max 1 config.Config.overload_period in
+  let slice = Stdlib.max 1 p.period in
   {
     tid;
     tagged;
@@ -140,26 +140,24 @@ let make_lane config ~tid ~tagged =
     entered = Time_ns.zero;
     calm_since = None;
     seq = 0;
-    place_tokens = config.Config.overload_token_burst;
-    std_tokens = config.Config.overload_token_burst;
-    def_tokens = config.Config.overload_token_burst;
+    place_tokens = p.token_burst;
+    std_tokens = p.token_burst;
+    def_tokens = p.token_burst;
     s_transitions = 0;
     s_escalations = 0;
     s_relaxes = 0;
     shed_counts = Hashtbl.create 4;
   }
 
-let create ?tenants config machine kernel recovery =
+let create ?(tenants = Tenant.single) params machine kernel recovery =
   (* The platform passes its one shared table so lanes added by churn
-     admissions line up with the registry; static callers fall back to a
-     fresh (immutable-in-practice) table. *)
-  let table =
-    match tenants with Some t -> t | None -> Config.tenant_table config
-  in
+     admissions line up with the registry; standalone callers get the
+     implicit single tenant. *)
+  let table = tenants in
   let tagged = Tenant.is_multi table in
   let ctr = Machine.counters machine in
   {
-    config;
+    params;
     machine;
     kernel;
     recovery;
@@ -169,7 +167,7 @@ let create ?tenants config machine kernel recovery =
     cells = make_cells ctr;
     lanes =
       Array.init (Tenant.count table) (fun tid ->
-          make_lane config ~tid ~tagged);
+          make_lane params ~tid ~tagged);
     started = false;
     engaged_lanes = 0;
     transition_cbs = [];
@@ -231,14 +229,14 @@ let deferred_pending_of t ~tenant = Queue.length (lane t tenant).deferred
 (* Each rung below Throttle halves the refill rate: admission pressure
    degrades monotonically with ladder depth. *)
 let refill_rate t l =
-  let base = t.config.Config.overload_tokens_per_period in
+  let base = t.params.tokens_per_period in
   match l.level with
   | Normal | Throttle -> base
   | Defer -> Stdlib.max 1 (base / 2)
   | Shed | Static_partition -> Stdlib.max 1 (base / 4)
 
 let refill t l =
-  let burst = t.config.Config.overload_token_burst in
+  let burst = t.params.token_burst in
   let rate = refill_rate t l in
   l.place_tokens <- Stdlib.min burst (l.place_tokens + rate);
   l.std_tokens <- Stdlib.min burst (l.std_tokens + rate);
@@ -344,12 +342,12 @@ let goto t l to_ =
      Trace.emitf (Machine.trace t.machine) ~time:now
        ~category:Trace.Cat.overload "tenant=%d seq=%d from=%s to=%s held=%d min=%d"
        l.tid l.seq (level_label from) (level_label to_) held
-       t.config.Config.overload_min_dwell
+       t.params.min_dwell
    else
      Trace.emitf (Machine.trace t.machine) ~time:now
        ~category:Trace.Cat.overload "seq=%d from=%s to=%s held=%d min=%d" l.seq
        (level_label from) (level_label to_) held
-       t.config.Config.overload_min_dwell);
+       t.params.min_dwell);
   (* The final rung converges on PR 3's degraded fallback: load-driven
      static partitioning pins the same mechanism fault bursts engage. The
      hold is engaged by the first lane to reach the bottom rung and
@@ -391,7 +389,7 @@ let sample_busy t l =
   match l.dp_cores with
   | [] -> 0.0
   | cores ->
-      let period = t.config.Config.overload_period in
+      let period = t.params.period in
       let total =
         List.fold_left
           (fun acc core ->
@@ -414,29 +412,29 @@ let sample_runq t l =
 let sample_p99 t l = Quantile.quantile l.sketch ~now:(Sim.now t.sim) 99.0
 
 let sample_and_step t l =
-  let c = t.config in
+  let c = t.params in
   let now = Sim.now t.sim in
   let busy = sample_busy t l in
   let runq = sample_runq t l in
   let p99 = sample_p99 t l in
   lane_count t l t.cells.c_samples;
-  let bound = c.Config.overload_p99_bound in
+  let bound = c.p99_bound in
   let p99_over = match p99 with Some p -> p >= bound | None -> false in
   let p99_under = match p99 with Some p -> p <= bound / 2 | None -> true in
   let over_votes =
-    (if busy >= c.Config.overload_busy_high then 1 else 0)
-    + (if runq >= c.Config.overload_runq_high then 1 else 0)
+    (if busy >= c.busy_high then 1 else 0)
+    + (if runq >= c.runq_high then 1 else 0)
     + if p99_over then 1 else 0
   in
   let under =
-    busy <= c.Config.overload_busy_low
-    && runq <= c.Config.overload_runq_low
+    busy <= c.busy_low
+    && runq <= c.runq_low
     && p99_under
   in
   let held = now - l.entered in
   if over_votes >= 2 then begin
     l.calm_since <- None;
-    if held >= c.Config.overload_min_dwell && l.level <> Static_partition then
+    if held >= c.min_dwell && l.level <> Static_partition then
       goto t l (next_up l.level)
   end
   else if under then begin
@@ -446,8 +444,8 @@ let sample_and_step t l =
     match l.calm_since with
     | Some calm
       when l.level <> Normal
-           && now - calm >= c.Config.overload_quiet
-           && held >= c.Config.overload_min_dwell ->
+           && now - calm >= c.quiet
+           && held >= c.min_dwell ->
         goto t l (next_down l.level)
     | _ -> ()
   end
@@ -455,7 +453,7 @@ let sample_and_step t l =
 
 let rec tick t =
   ignore
-    (Sim.after t.sim t.config.Config.overload_period (fun () ->
+    (Sim.after t.sim t.params.period (fun () ->
          Array.iter
            (fun l ->
              if not l.frozen then begin
@@ -475,7 +473,7 @@ let admit_lane t ~tenant =
     invalid_arg
       (Printf.sprintf "Overload.admit_lane: expected tenant %d, got %d"
          (Array.length t.lanes) tenant);
-  let l = make_lane t.config ~tid:tenant ~tagged:true in
+  let l = make_lane t.params ~tid:tenant ~tagged:true in
   if t.started then l.entered <- Sim.now t.sim;
   t.lanes <- Array.append t.lanes [| l |]
 

@@ -4,7 +4,8 @@
     CP execution time degrades ~8x and VM startup blows through its SLO
     while the data plane's tail latency collapses. PR 3's recovery
     machinery only reacts to fault events; this module closes the loop on
-    *load*. Every [overload_period] it samples three signals:
+    *load*. Every [period] of its {!Config.overload} parameters it
+    samples three signals:
 
     + data-plane core occupancy — the delta of [Core_state] "dp_running"
       dwell across the watched DP cores over the sampling period;
@@ -15,14 +16,14 @@
 
     When at least two signals sit above their high watermarks the ladder
     escalates one rung; when all of them stay below their low watermarks
-    for [overload_quiet] it relaxes one rung. Both directions require
-    [overload_min_dwell] at the current rung first — hysteresis against
+    for [quiet] it relaxes one rung. Both directions require
+    [min_dwell] at the current rung first — hysteresis against
     flapping. The rungs:
 
     - {b Normal}: everything admitted, placements ungated.
     - {b Throttle}: [Standard]/[Deferrable] CP admissions and vCPU
       placements (the wakeup-IPI path) pass through per-class token
-      buckets refilled at [overload_tokens_per_period].
+      buckets refilled at [tokens_per_period].
     - {b Defer}: [Deferrable] admissions are parked on a deferred queue;
       {!backpressure} turns on for workload clients.
     - {b Shed}: [Deferrable] admissions are rejected outright (counted);
@@ -49,8 +50,8 @@
     ([seq=N from=a to=b held=H min=M]) lets [trace_lint] re-verify each
     lane's ladder offline, plus [overload.*] counters. Like
     [Config.resilience], the governor is an explicit opt-in
-    ([Config.overload]); nothing is scheduled otherwise, keeping default
-    runs bit-identical. *)
+    ([Config.overload = Some _]); nothing is scheduled otherwise, keeping
+    default runs bit-identical. *)
 
 open Taichi_engine
 open Taichi_hw
@@ -75,12 +76,16 @@ val rank : level -> int
 val cls_label : cls -> string
 
 val create :
-  ?tenants:Tenant.table -> Config.t -> Machine.t -> Kernel.t -> Recovery.t -> t
+  ?tenants:Tenant.table ->
+  Config.overload ->
+  Machine.t ->
+  Kernel.t ->
+  Recovery.t ->
+  t
 (** One lane per tenant; a single untagged lane when the table is
     implicit. Pass [?tenants] to share the platform's one mutable table
     (required under churn so {!admit_lane} ids line up with the
-    registry); the default derives a fresh static table from the
-    config. *)
+    registry); the default is {!Tenant.single}. *)
 
 val admit_lane : t -> tenant:int -> unit
 (** Create the tagged lane for a dynamically admitted tenant. The id

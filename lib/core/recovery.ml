@@ -2,7 +2,7 @@ open Taichi_engine
 open Taichi_hw
 
 type t = {
-  config : Config.t;
+  params : Config.resilience option;
   machine : Machine.t;
   sim : Sim.t;
   latency : Histogram.t;
@@ -27,7 +27,7 @@ type t = {
 let create config machine =
   let h = Counters.handle (Machine.counters machine) in
   {
-    config;
+    params = config.Config.resilience;
     machine;
     sim = Machine.sim machine;
     latency = Histogram.create ();
@@ -73,19 +73,18 @@ let rearm t =
    burst landing exactly at the deadline would otherwise be processed
    after a rearm it should have suppressed — a spurious rearm/re-engage
    flap at the boundary. *)
-let rec schedule_quiet_check t =
-  let due = t.last_event + t.config.Config.degraded_quiet + 1 in
+let rec schedule_quiet_check t (r : Config.resilience) =
+  let due = t.last_event + r.degraded_quiet + 1 in
   ignore
     (Sim.at t.sim (max due (Sim.now t.sim)) (fun () ->
          (* A forced (load-driven) hold pins degraded mode: the quiet
             check stops polling and the eventual [force_release] re-arms
             directly. *)
          if t.degraded && not t.forced then
-           if Sim.now t.sim - t.last_event > t.config.Config.degraded_quiet
-           then rearm t
-           else schedule_quiet_check t))
+           if Sim.now t.sim - t.last_event > r.degraded_quiet then rearm t
+           else schedule_quiet_check t r))
 
-let engage t =
+let engage t r =
   t.degraded <- true;
   t.engaged <- t.engaged + 1;
   Counters.incr_h (Machine.counters t.machine) t.h_engaged;
@@ -93,7 +92,7 @@ let engage t =
     ~category:Trace.Cat.degraded "engage events_in_window=%d"
     (Queue.length t.window);
   List.iter (fun f -> f ()) t.engage_cbs;
-  schedule_quiet_check t
+  schedule_quiet_check t r
 
 (* Load-driven degradation (the overload governor's Static_partition
    rung) converges on the same mechanism as fault-driven degradation:
@@ -143,16 +142,15 @@ let note t ~cls ~action ~latency =
   Trace.emitf (Machine.trace t.machine) ~time:now
     ~category:Trace.Cat.recovery "%s.%s latency=%d" cls action latency;
   t.last_event <- now;
-  if t.config.Config.resilience then begin
-    Queue.push now t.window;
-    let horizon = now - t.config.Config.degraded_window in
-    while
-      (not (Queue.is_empty t.window)) && Queue.peek t.window < horizon
-    do
-      ignore (Queue.pop t.window)
-    done;
-    if
-      (not t.degraded)
-      && Queue.length t.window >= t.config.Config.degraded_threshold
-    then engage t
-  end
+  match t.params with
+  | None -> ()
+  | Some r ->
+      Queue.push now t.window;
+      let horizon = now - r.degraded_window in
+      while
+        (not (Queue.is_empty t.window)) && Queue.peek t.window < horizon
+      do
+        ignore (Queue.pop t.window)
+      done;
+      if (not t.degraded) && Queue.length t.window >= r.degraded_threshold
+      then engage t r

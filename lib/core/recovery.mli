@@ -15,7 +15,7 @@
       vCPUs on data-plane cores) — and after [degraded_quiet] with no
       further recovery events it re-arms via {!on_rearm}.
 
-    A tracker created from a config with [resilience = false] still
+    A tracker created from a config with [resilience = None] still
     accepts {!note} calls (they only touch counters) but never engages
     degraded mode. *)
 

@@ -1,6 +1,11 @@
 open Taichi_engine
 open Taichi_hw
 
+let threshold_init = 200
+let threshold_min = 50
+let threshold_max = 1000
+let threshold_dec = 50
+
 type t = {
   config : Config.t;
   machine : Machine.t option;
@@ -20,7 +25,7 @@ let create ?machine config ~cores =
     machine;
     h_sustained_idle = h "probe.sw.sustained_idle";
     h_false_positive = h "probe.sw.false_positive";
-    thresholds = Array.make cores config.Config.threshold_init;
+    thresholds = Array.make cores threshold_init;
     fps = Array.make cores 0;
     adjustments = 0;
   }
@@ -37,8 +42,8 @@ let note t ~core h event =
 
 let on_sustained_idle t ~core =
   if t.config.Config.adaptive_threshold then begin
-    let n = t.thresholds.(core) - t.config.Config.threshold_dec in
-    t.thresholds.(core) <- max t.config.Config.threshold_min n;
+    let n = t.thresholds.(core) - threshold_dec in
+    t.thresholds.(core) <- max threshold_min n;
     t.adjustments <- t.adjustments + 1;
     note t ~core t.h_sustained_idle "sustained_idle"
   end
@@ -47,7 +52,7 @@ let on_false_positive t ~core =
   t.fps.(core) <- t.fps.(core) + 1;
   if t.config.Config.adaptive_threshold then begin
     let n = t.thresholds.(core) * 2 in
-    t.thresholds.(core) <- min t.config.Config.threshold_max n;
+    t.thresholds.(core) <- min threshold_max n;
     t.adjustments <- t.adjustments + 1
   end;
   note t ~core t.h_false_positive "false_positive"

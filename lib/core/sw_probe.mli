@@ -8,6 +8,14 @@
 
 open Taichi_hw
 
+(** Initial empty-poll count N before a yield (§4.3), its bounds, and
+    its additive decrease on sustained idleness: 200, [50, 1000], 50. *)
+
+val threshold_init : int
+val threshold_min : int
+val threshold_max : int
+val threshold_dec : int
+
 type t
 
 val create : ?machine:Machine.t -> Config.t -> cores:int -> t

@@ -48,12 +48,13 @@ let mirror_resync machine table recovery =
     end
   done
 
-let rec mirror_resync_loop config machine table recovery =
+let mirror_resync_period = Time_ns.us 50 (* divergence detector cadence *)
+
+let rec mirror_resync_loop machine table recovery =
   ignore
-    (Sim.after (Machine.sim machine) config.Config.mirror_resync_period
-       (fun () ->
+    (Sim.after (Machine.sim machine) mirror_resync_period (fun () ->
          mirror_resync machine table recovery;
-         mirror_resync_loop config machine table recovery))
+         mirror_resync_loop machine table recovery))
 
 let install ?(config = Config.default) ?tenants ~machine ~kernel ~pipeline
     ~dps ~cp_pcpus () =
@@ -100,7 +101,7 @@ let install ?(config = Config.default) ?tenants ~machine ~kernel ~pipeline
      with the configured ones; they stay unassigned (tenant -1) and are
      never scheduled until the lifecycle binds them to an admitted
      tenant. *)
-  let spare_count = if config.Config.churn then config.Config.spare_vcpus else 0 in
+  let spare_count = if config.Config.churn then Lifecycle.spare_vcpus else 0 in
   let all_vcpus =
     Ipi_orchestrator.register_vcpus orch ~first_kcpu:cores
       ~count:(config.Config.n_vcpus + spare_count)
@@ -127,42 +128,44 @@ let install ?(config = Config.default) ?tenants ~machine ~kernel ~pipeline
     List.iter (fun dp -> Dp_service.set_tag_tenant dp true) dps
   end;
   List.iter (fun v -> v.Vcpu.tenant <- -1) spares;
-  if config.Config.resilience then
-    mirror_resync_loop config machine table recovery;
+  if Option.is_some config.Config.resilience then
+    mirror_resync_loop machine table recovery;
   let overload =
-    if not config.Config.overload then None
-    else begin
-      (* The governor watches the DP cores' dwell (occupancy), the vCPU
-         host CPUs' runqueues (CP backlog) and a live per-packet latency
-         feed; it throttles the placement path through the scheduler's
-         gate, and a ladder relax immediately retries the work the gate
-         held back. *)
-      let ov = Overload.create ~tenants:tenant_table config machine kernel recovery in
-      List.iter
-        (fun dp ->
-          Overload.watch_dp ov ~tenant:(Dp_service.tenant dp)
-            ~core:(Dp_service.core dp) ();
-          (* The sink reads the owner at packet-completion time: a
-             floating service re-homed by the churn lifecycle feeds the
-             new owner's lane from the instant it changes hands. *)
-          Dp_service.set_latency_sink dp
-            (Some
-               (fun lat ->
-                 Overload.observe_latency ov ~tenant:(Dp_service.tenant dp)
-                   lat)))
-        dps;
-      List.iter
-        (fun v ->
-          if v.Vcpu.tenant >= 0 then
-            Overload.watch_kcpu ov ~tenant:v.Vcpu.tenant v.Vcpu.kcpu)
-        all_vcpus;
-      Vcpu_sched.set_place_gate sched (Some (Overload.place_allowed ov));
-      Overload.on_transition ov (fun from to_ ->
-          if Overload.rank to_ < Overload.rank from then
-            Vcpu_sched.kick_runnable sched);
-      Overload.start ov;
-      Some ov
-    end
+    match config.Config.overload with
+    | None -> None
+    | Some params ->
+        (* The governor watches the DP cores' dwell (occupancy), the vCPU
+           host CPUs' runqueues (CP backlog) and a live per-packet latency
+           feed; it throttles the placement path through the scheduler's
+           gate, and a ladder relax immediately retries the work the gate
+           held back. *)
+        let ov =
+          Overload.create ~tenants:tenant_table params machine kernel recovery
+        in
+        List.iter
+          (fun dp ->
+            Overload.watch_dp ov ~tenant:(Dp_service.tenant dp)
+              ~core:(Dp_service.core dp) ();
+            (* The sink reads the owner at packet-completion time: a
+               floating service re-homed by the churn lifecycle feeds the
+               new owner's lane from the instant it changes hands. *)
+            Dp_service.set_latency_sink dp
+              (Some
+                 (fun lat ->
+                   Overload.observe_latency ov ~tenant:(Dp_service.tenant dp)
+                     lat)))
+          dps;
+        List.iter
+          (fun v ->
+            if v.Vcpu.tenant >= 0 then
+              Overload.watch_kcpu ov ~tenant:v.Vcpu.tenant v.Vcpu.kcpu)
+          all_vcpus;
+        Vcpu_sched.set_place_gate sched (Some (Overload.place_allowed ov));
+        Overload.on_transition ov (fun from to_ ->
+            if Overload.rank to_ < Overload.rank from then
+              Vcpu_sched.kick_runnable sched);
+        Overload.start ov;
+        Some ov
   in
   let lifecycle =
     if not config.Config.churn then None
@@ -172,12 +175,10 @@ let install ?(config = Config.default) ?tenants ~machine ~kernel ~pipeline
          move. *)
       let n_dps = List.length dps in
       let floats =
-        List.filteri
-          (fun i _ -> i >= n_dps - config.Config.float_services)
-          dps
+        List.filteri (fun i _ -> i >= n_dps - Lifecycle.float_services) dps
       in
       Some
-        (Lifecycle.create ~config ~machine ~kernel ~sched ~overload
+        (Lifecycle.create ~machine ~kernel ~sched ~overload
            ~tenants:tenant_table ~spares ~floats ~cp_pcpus ~dps ~recovery)
     end
   in

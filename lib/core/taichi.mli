@@ -43,9 +43,9 @@ val install :
     layer (scheduler lanes, governor lanes, lifecycle) — the platform
     passes its single per-system instance; the default derives a fresh
     static table from the config. With [config.churn],
-    [config.spare_vcpus] extra vCPUs are registered unassigned
-    (tenant [-1]) and the last [config.float_services] services become
-    the lifecycle's floating pool. *)
+    {!Lifecycle.spare_vcpus} extra vCPUs are registered unassigned
+    (tenant [-1]) and the last {!Lifecycle.float_services} services
+    become the lifecycle's floating pool. *)
 
 val config : t -> Config.t
 val machine : t -> Machine.t

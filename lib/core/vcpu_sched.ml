@@ -82,15 +82,25 @@ type t = {
   mutable s_unsafe : int;
 }
 
+let initial_slice = Time_ns.us 50
+let max_slice = Time_ns.us 100
+let halt_poll = Time_ns.us 10 (* workless vCPU lingers, then Halt exit *)
+let borrow_slice = Time_ns.us 50 (* re-check period of a CP-pCPU borrow *)
+let watchdog_period = Time_ns.us 100 (* hung-vCPU watchdog scan cadence *)
+
+(* Max time a vCPU may stay placed with eviction pressure (pending DP
+   work, lock-bound, or borrowing) before the watchdog escalates. *)
+let watchdog_bound = Time_ns.ms 1
+
 let charge_core t core d =
   if d > 0 then Accounting.charge (Machine.accounting t.machine) ~core Accounting.Switch d
 
-let world_switch t = t.config.Config.cost.Cost_model.world_switch
-let light_exit t = t.config.Config.cost.Cost_model.light_exit
+let world_switch = Cost_model.default.Cost_model.world_switch
+let light_exit = Cost_model.default.Cost_model.light_exit
 
 (* A yield evicted within this window counts as a false positive for the
    adaptive empty-poll threshold. *)
-let short_yield t = 5 * t.config.Config.cost.Cost_model.world_switch + Time_ns.us 15
+let short_yield = (5 * world_switch) + Time_ns.us 15
 
 let kcpu_of t v = Kernel.cpu t.kernel v.Vcpu.kcpu
 
@@ -249,9 +259,9 @@ and back_on_core t v core ~cause =
   count_v t v t.cells.c_placements;
   emitf t ~core ~category:Trace.Cat.sched_place "vid=%d kcpu=%d" v.Vcpu.vid
     v.Vcpu.kcpu;
-  charge_core t core (world_switch t);
+  charge_core t core world_switch;
   ignore
-    (Sim.after t.sim (world_switch t) (fun () ->
+    (Sim.after t.sim world_switch (fun () ->
          match Hashtbl.find_opt t.placed core with
          | Some v' when v' == v ->
              Kernel.set_backed t.kernel (kcpu_of t v) true;
@@ -363,7 +373,7 @@ and evict_to_dp t v core ~cause =
        rather than waiting for its next idle notification. *)
     try_place_parked t v
   end;
-  Dp_service.resume dp ~switch_cost:(world_switch t)
+  Dp_service.resume dp ~switch_cost:world_switch
 
 (* Direct vCPU-to-vCPU switch: the core stays in V-state. *)
 and switch_vcpu t ~from_v ~to_v core ~cause =
@@ -388,11 +398,11 @@ and on_slice_expiry t core =
         v.Vcpu.vid pending;
       if pending then begin
         t.s_pending_evictions <- t.s_pending_evictions + 1;
-        v.Vcpu.slice <- t.config.Config.initial_slice;
+        v.Vcpu.slice <- initial_slice;
         (* Only a yield evicted almost immediately was a false positive;
            an eviction after a long donated stretch is a successful yield
            and drives the threshold down, not up. *)
-        if Sim.now t.sim - v.Vcpu.last_placed < short_yield t then
+        if Sim.now t.sim - v.Vcpu.last_placed < short_yield then
           Sw_probe.on_false_positive t.sw ~core
         else Sw_probe.on_sustained_idle t.sw ~core;
         evict_to_dp t v core ~cause:Core_state.Slice_expiry
@@ -400,8 +410,8 @@ and on_slice_expiry t core =
       else begin
         Sw_probe.on_sustained_idle t.sw ~core;
         if t.config.Config.adaptive_slice then
-          v.Vcpu.slice <- min (2 * v.Vcpu.slice) t.config.Config.max_slice;
-        charge_core t core (light_exit t);
+          v.Vcpu.slice <- min (2 * v.Vcpu.slice) max_slice;
+        charge_core t core light_exit;
         if runnable_waiting t then begin
           match pop_runnable t with
           | Some v' -> (
@@ -481,7 +491,7 @@ and borrow_cp_pcpu t v =
         (* All CP pCPUs carry borrows; retry shortly. *)
         count t t.cells.h_borrow_retries;
         ignore
-          (Sim.after t.sim t.config.Config.borrow_slice (fun () ->
+          (Sim.after t.sim borrow_slice (fun () ->
                if
                  (not (Vcpu.is_placed v))
                  && not (Hashtbl.mem t.borrowing v.Vcpu.vid)
@@ -507,9 +517,9 @@ and borrow_cp_pcpu t v =
       v.Vcpu.placement <- Vcpu.On_core cp_id;
       v.Vcpu.last_placed <- Sim.now t.sim;
       Kernel.set_backing_core t.kernel kc (Some cp_id);
-      charge_core t cp_id (world_switch t);
+      charge_core t cp_id world_switch;
       ignore
-        (Sim.after t.sim (world_switch t) (fun () ->
+        (Sim.after t.sim world_switch (fun () ->
              Kernel.set_backed t.kernel kc true;
              transition t ~core:cp_id ~cause:Core_state.Borrow
                (Core_state.Vcpu_running v.Vcpu.vid);
@@ -517,7 +527,7 @@ and borrow_cp_pcpu t v =
 
 and borrow_check t v cp_id =
   ignore
-    (Sim.after t.sim t.config.Config.borrow_slice (fun () ->
+    (Sim.after t.sim borrow_slice (fun () ->
          if
            (* The watchdog may have force-ended this borrow between two
               checks; a stale timer must not end it a second time. *)
@@ -559,8 +569,8 @@ let on_probe_irq t ~core =
   | Some v ->
       Vcpu.record_exit v Vmexit.Hw_probe_irq;
       t.s_probe_evictions <- t.s_probe_evictions + 1;
-      v.Vcpu.slice <- t.config.Config.initial_slice;
-      if Sim.now t.sim - v.Vcpu.last_placed < short_yield t then
+      v.Vcpu.slice <- initial_slice;
+      if Sim.now t.sim - v.Vcpu.last_placed < short_yield then
         Sw_probe.on_false_positive t.sw ~core
       else Sw_probe.on_sustained_idle t.sw ~core;
       evict_to_dp t v core ~cause:Core_state.Probe
@@ -584,7 +594,7 @@ let on_cpu_idle t kcpu_id =
           if Hashtbl.mem t.borrowing v.Vcpu.vid then ()
           else
             ignore
-              (Sim.after t.sim t.config.Config.halt_poll (fun () ->
+              (Sim.after t.sim halt_poll (fun () ->
                    match Hashtbl.find_opt t.placed core with
                    | Some v' when v' == v && not (has_work t v) ->
                        halt_exit t v core
@@ -598,7 +608,7 @@ let lockbound t v =
   | None -> false
 
 let overdue t v =
-  Sim.now t.sim - v.Vcpu.last_placed > t.config.Config.watchdog_bound
+  Sim.now t.sim - v.Vcpu.last_placed > watchdog_bound
 
 (* A long-placed vCPU is only "hung" under eviction pressure: pending
    data-plane work the normal eviction paths should have acted on, a
@@ -692,7 +702,7 @@ let watchdog_check t =
 
 let rec watchdog_loop t =
   ignore
-    (Sim.after t.sim t.config.Config.watchdog_period (fun () ->
+    (Sim.after t.sim watchdog_period (fun () ->
          watchdog_check t;
          watchdog_loop t))
 
@@ -914,7 +924,8 @@ let create ?tenants config machine kernel softirq sw table recovery =
      does: without it, a suspended lock holder leaves its spinners
      burning every CP pCPU and the ladder can never drain the backlog it
      is waiting on. *)
-  if config.Config.resilience || config.Config.overload then watchdog_loop t;
+  if Option.is_some config.Config.resilience || Option.is_some config.Config.overload
+  then watchdog_loop t;
   t
 
 (* Registration is O(1): the list is kept newest-first and reversed on
@@ -1014,7 +1025,7 @@ let force_evict_tenant t ~tenant =
           t.s_unsafe <- t.s_unsafe + 1;
           count t t.cells.h_unsafe;
           Dp_service.resume (Hashtbl.find t.dps core)
-            ~switch_cost:(world_switch t)
+            ~switch_cost:world_switch
         end
         else evict_to_dp t v core ~cause:Core_state.Watchdog
       end)

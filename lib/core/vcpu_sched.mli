@@ -24,6 +24,7 @@
       guaranteeing forward progress (§4.1). *)
 
 
+open Taichi_engine
 open Taichi_hw
 open Taichi_os
 open Taichi_virt
@@ -31,6 +32,12 @@ open Taichi_accel
 open Taichi_dataplane
 
 type t
+
+val initial_slice : Time_ns.t  (** paper: 50 µs (§4.1) *)
+
+val max_slice : Time_ns.t
+(** Cap for the doubling slice (100 µs); bounds worst-case data-plane
+    recovery when the hardware probe is absent. *)
 
 val create :
   ?tenants:Tenant.table ->
@@ -50,9 +57,9 @@ val create :
     context switches enter guest context through the dedicated softirq
     (§4.1), registered per data-plane core by {!register_dp}.
 
-    With [config.resilience] the scheduler also arms the hung-vCPU
-    watchdog (scan every [watchdog_period]; a vCPU placed past
-    [watchdog_bound] under eviction pressure escalates reschedule →
+    With [config.resilience] or [config.overload] armed the scheduler
+    also runs the hung-vCPU watchdog (scan every 100 µs; a vCPU placed
+    past 1 ms under eviction pressure escalates reschedule →
     lock-rescue → forced borrow eviction, one [recovery.watchdog.*]
     counter per rung) and registers the degraded-mode callbacks: on
     engage every non-lock-bound placement is returned to its data-plane
@@ -97,9 +104,9 @@ val kick_runnable : t -> unit
 
 val watchdog_stuck : t -> int
 (** Number of vCPUs currently hung past the watchdog bound (placed under
-    eviction pressure, or borrowing a CP pCPU, for longer than
-    [watchdog_bound]). The chaos oracle asserts this is 0 after the
-    post-injection grace period. *)
+    eviction pressure, or borrowing a CP pCPU, for longer than 1 ms). The
+    chaos oracle asserts this is 0 after the post-injection grace
+    period. *)
 
 val poke : t -> kcpu:int -> unit
 (** Awaken the vCPU backing kernel CPU [kcpu] if it has work — the

@@ -124,12 +124,15 @@ val resume : t -> switch_cost:Time_ns.t -> unit
     [Yielded]. *)
 
 val latency : t -> Recorder.t
-(** Per-packet latency (submit to processing completion), with counters
-    ["spikes"], ["bursts"], ["yields"], ["resumes"]. *)
+(** Per-packet latency (submit to processing completion). *)
 
 val packets_processed : t -> int
-val yields : t -> int
-val spikes : t -> int
+
+val bursts : t -> int  (** non-empty ring polls, each one batch *)
+
+val yields : t -> int  (** times this service gave its core up *)
+
+val spikes : t -> int  (** packets slower than [spike_threshold] *)
 
 val empty_poll_time : t -> Time_ns.t
 (** Cumulative time spent empty-polling in [Counting]. Both this and

@@ -126,7 +126,7 @@ val set_churn_arrive : t -> (unit -> unit) -> unit
 
 val set_churn_overrun : t -> (unit -> unit) -> unit
 (** Callback fired by the drain-overrun stream; the harness pins a
-    tenant's drain open past [Config.drain_window] (e.g. with a
+    tenant's drain open past {!Taichi_core.Lifecycle.drain_window} (e.g. with a
     long-held non-preemptible task) so the forced escalation path runs.
     Counts [fault.churn.overruns]. *)
 

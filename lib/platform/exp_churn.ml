@@ -123,9 +123,8 @@ let feed_tenant_dp sys ~tenant ~target ~until =
    (as [System.dp_latency_hist_of] does) would blame a dynamic tenant's
    backlog on the boot tenant the service rests with. *)
 let victim_hist sys ~tenant =
-  let tc = Option.get (System.taichi sys) in
   let dps = System.services sys in
-  let keep = List.length dps - (Taichi.config tc).Config.float_services in
+  let keep = List.length dps - Lifecycle.float_services in
   List.fold_left
     (fun acc dp ->
       if Dp_service.tenant dp = tenant then
@@ -388,8 +387,8 @@ let measure ctx ~seed ~scale ~key ~scenario =
 
 (* --- oracles ------------------------------------------------------------- *)
 
-let spares = 4 (* Config.with_churn defaults, pinned by the pool oracles *)
-let floats = 2
+let spares = Lifecycle.spare_vcpus
+let floats = Lifecycle.float_services
 
 let check_oracles cells repeat_fp =
   let fail fmt = Printf.ksprintf failwith fmt in

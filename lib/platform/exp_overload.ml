@@ -8,7 +8,7 @@ open Exp_common
 (* The DP p99 guardrail the storm cells are judged against — the same
    bound the governor escalates on, so "the governor holds what it
    watches" is exactly what the oracle checks. *)
-let guardrail = Config.default.Config.overload_p99_bound
+let guardrail = Config.default_overload.Config.p99_bound
 
 let densities = [ 1.0; 2.0; 4.0 ]
 let max_density = 4.0

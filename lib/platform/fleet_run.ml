@@ -30,7 +30,7 @@ open Taichi_fleet
 open Taichi_workloads
 open Taichi_controlplane
 
-let guardrail = Config.default.Config.overload_p99_bound
+let guardrail = Config.default_overload.Config.p99_bound
 
 (* Boot tenants per NIC (the fleet victims) — same contract discipline as
    exp_churn, relaxed to the fleet guardrail. *)

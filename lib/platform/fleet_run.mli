@@ -15,7 +15,7 @@ open Taichi_faults
 
 val guardrail : Time_ns.t
 (** The 150 µs DP p99 bound each NIC is judged against for fleet SLO
-    attainment ([Config.overload_p99_bound]). *)
+    attainment ([Config.default_overload.p99_bound]). *)
 
 type params = {
   nics : int;

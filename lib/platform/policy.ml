@@ -38,7 +38,7 @@ let dp_cores_lost = function
       0
 
 let dp_speed_tax = function
-  | Taichi_vdp cfg -> cfg.Config.cost.Cost_model.npt_tax +. 0.015
+  | Taichi_vdp _ -> Cost_model.default.Cost_model.npt_tax +. 0.015
   | Type2 -> 0.02
   | Static_partition | Taichi _ | Naive_coschedule | Uintr_coschedule
   | Dedicated_core ->

@@ -259,7 +259,8 @@ let warmup t =
          re-issues them with backoff, so give a resilient system a longer
          leash before declaring the hotplug failed. *)
       let budget =
-        if (Taichi.config tc).Config.resilience then Time_ns.ms 500
+        if Option.is_some (Taichi.config tc).Config.resilience then
+          Time_ns.ms 500
         else Time_ns.ms 100
       in
       let deadline = Sim.now t.sim + budget in

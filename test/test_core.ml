@@ -23,16 +23,19 @@ let test_config_ablations () =
   checkb "fixed threshold" false
     (Config.fixed_threshold c).Config.adaptive_threshold;
   checkb "unsafe locks" false (Config.unsafe_locks c).Config.lock_safe_resched;
-  checki "paper initial slice" (Time_ns.us 50) c.Config.initial_slice
+  checkb "no optional subsystem armed" true
+    (c.Config.resilience = None && c.Config.overload = None
+   && not c.Config.churn);
+  checki "paper initial slice" (Time_ns.us 50) Vcpu_sched.initial_slice
 
 (* --- Sw_probe ------------------------------------------------------------------ *)
 
 let test_sw_probe_adaptation () =
   let sw = Sw_probe.create Config.default ~cores:2 in
   let n0 = Sw_probe.threshold sw ~core:0 in
-  checki "initial" Config.default.Config.threshold_init n0;
+  checki "initial" Sw_probe.threshold_init n0;
   Sw_probe.on_sustained_idle sw ~core:0;
-  checki "decreased" (n0 - Config.default.Config.threshold_dec)
+  checki "decreased" (n0 - Sw_probe.threshold_dec)
     (Sw_probe.threshold sw ~core:0);
   Sw_probe.on_false_positive sw ~core:0;
   checkb "increased" true (Sw_probe.threshold sw ~core:0 > n0);
@@ -43,11 +46,11 @@ let test_sw_probe_bounds () =
   for _ = 1 to 100 do
     Sw_probe.on_sustained_idle sw ~core:0
   done;
-  checki "floor" Config.default.Config.threshold_min (Sw_probe.threshold sw ~core:0);
+  checki "floor" Sw_probe.threshold_min (Sw_probe.threshold sw ~core:0);
   for _ = 1 to 100 do
     Sw_probe.on_false_positive sw ~core:0
   done;
-  checki "ceiling" Config.default.Config.threshold_max
+  checki "ceiling" Sw_probe.threshold_max
     (Sw_probe.threshold sw ~core:0);
   checki "fp counted" 100 (Sw_probe.false_positives sw ~core:0)
 
@@ -55,7 +58,7 @@ let test_sw_probe_fixed () =
   let sw = Sw_probe.create (Config.fixed_threshold Config.default) ~cores:1 in
   Sw_probe.on_sustained_idle sw ~core:0;
   Sw_probe.on_false_positive sw ~core:0;
-  checki "unchanged" Config.default.Config.threshold_init
+  checki "unchanged" Sw_probe.threshold_init
     (Sw_probe.threshold sw ~core:0)
 
 (* --- full-system helpers ---------------------------------------------------------- *)
@@ -214,7 +217,7 @@ let test_no_probe_packet_waits_for_slice () =
         (Recorder.max_value recorder > Time_ns.us 10);
       checkb "bounded by max slice" true
         (Recorder.max_value recorder
-        <= Config.default.Config.max_slice + Time_ns.us 20)
+        <= Vcpu_sched.max_slice + Time_ns.us 20)
 
 (* --- adaptive slice -------------------------------------------------------------------- *)
 
@@ -236,8 +239,8 @@ let test_slice_doubles_and_resets () =
       (fun v -> Taichi_virt.Vcpu.is_placed v)
       (Taichi.vcpus tc)
   in
-  checkb "slice grew" true (v.Taichi_virt.Vcpu.slice > Config.default.Config.initial_slice);
-  checkb "slice capped" true (v.Taichi_virt.Vcpu.slice <= Config.default.Config.max_slice);
+  checkb "slice grew" true (v.Taichi_virt.Vcpu.slice > Vcpu_sched.initial_slice);
+  checkb "slice capped" true (v.Taichi_virt.Vcpu.slice <= Vcpu_sched.max_slice);
   (* A packet at its core resets the slice. *)
   (match Taichi_virt.Vcpu.core v with
   | Some core ->
@@ -247,7 +250,7 @@ let test_slice_doubles_and_resets () =
       (* Observe right after the probe eviction, before the next quiet
          slice expiry has a chance to double it again. *)
       System.advance sys (Time_ns.us 10);
-      checki "reset to initial" Config.default.Config.initial_slice
+      checki "reset to initial" Vcpu_sched.initial_slice
         v.Taichi_virt.Vcpu.slice;
       checkb "probe exit recorded" true
         (Taichi_virt.Vcpu.exit_count v Taichi_virt.Vmexit.Hw_probe_irq >= 1)
@@ -366,10 +369,11 @@ let test_rescue_borrows_cp_pcpu_when_dp_busy () =
 (* A holder that never releases its lock exhausts the rescue ladder: the
    watchdog's last rung forcibly ends the CP borrow (one counted unsafe
    suspension) rather than letting the borrowed core wedge forever. *)
-let test_watchdog_escalates_never_releasing_holder () =
-  let sys =
-    taichi_system ~config:(Config.resilient Config.default) ~seed:10 ()
-  in
+(* The watchdog runs whenever resilience or the overload governor is
+   armed (the governor's forced static partition relies on it to unstick
+   suspended lock holders) and never otherwise. *)
+let wedged_holder_counters config =
+  let sys = taichi_system ~config ~seed:10 () in
   let tc = get_taichi sys in
   let lock = Task.spinlock "wedged" in
   let stage = ref 0 in
@@ -398,13 +402,26 @@ let test_watchdog_escalates_never_releasing_holder () =
       (System.dp_cores sys);
     System.advance sys (Time_ns.ms 2)
   done;
-  let c = Counters.dump (Taichi_hw.Machine.counters (System.machine sys)) in
+  let s = Vcpu_sched.stats (Taichi.scheduler tc) in
+  (Counters.dump (Taichi_hw.Machine.counters (System.machine sys)), s)
+
+let check_watchdog_escalates config () =
+  let c, s = wedged_holder_counters config in
   let get name = try List.assoc name c with Not_found -> 0 in
   checkb "watchdog forced the borrow to end" true
     (get "recovery.watchdog.forced" > 0);
-  let s = Vcpu_sched.stats (Taichi.scheduler tc) in
   checkb "forced end counted as unsafe suspension" true
     (s.Vcpu_sched.unsafe_suspensions > 0)
+
+let test_watchdog_off_when_unarmed () =
+  let c, _ = wedged_holder_counters Config.default in
+  let watchdog =
+    List.filter
+      (fun (name, _) ->
+        String.length name >= 18 && String.sub name 0 18 = "recovery.watchdog.")
+      c
+  in
+  checki "no recovery.watchdog.* counter" 0 (List.length watchdog)
 
 let suite =
   [
@@ -427,5 +444,9 @@ let suite =
       test_rescue_borrows_cp_pcpu_when_dp_busy );
     ( "watchdog escalates never-releasing holder",
       `Quick,
-      test_watchdog_escalates_never_releasing_holder );
+      check_watchdog_escalates (Config.resilient Config.default) );
+    ( "watchdog escalates under overload governor only",
+      `Quick,
+      check_watchdog_escalates (Config.with_overload Config.default) );
+    ("watchdog off when neither armed", `Quick, test_watchdog_off_when_unarmed);
   ]

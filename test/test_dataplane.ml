@@ -45,7 +45,7 @@ let test_burst_batching () =
   done;
   Sim.run ~until:(Time_ns.ms 2) sim;
   checki "all processed" 40 (Dp_service.packets_processed dp);
-  let bursts = Taichi_metrics.Recorder.counter (Dp_service.latency dp) "bursts" in
+  let bursts = Dp_service.bursts dp in
   checkb "batched into >=2 bursts (32 cap)" true (bursts >= 2 && bursts <= 5)
 
 let test_idle_detection_timing () =

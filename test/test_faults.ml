@@ -183,15 +183,23 @@ let test_injection_stops_at_horizon () =
 
 (* --- degraded mode ----------------------------------------------------- *)
 
+let resilient_with ~threshold ~window ~quiet =
+  {
+    Config.default with
+    Config.resilience =
+      Some
+        {
+          Config.degraded_threshold = threshold;
+          degraded_window = window;
+          degraded_quiet = quiet;
+        };
+  }
+
 let test_degraded_engages_and_rearms () =
   let sim, machine, _ = make_machine () in
   let config =
-    {
-      (Config.resilient Config.default) with
-      Config.degraded_threshold = 3;
-      degraded_window = Time_ns.us 100;
-      degraded_quiet = Time_ns.us 200;
-    }
+    resilient_with ~threshold:3 ~window:(Time_ns.us 100)
+      ~quiet:(Time_ns.us 200)
   in
   let r = Recovery.create config machine in
   let engaged = ref false and rearmed = ref false in
@@ -221,14 +229,7 @@ let test_degraded_engages_and_rearms () =
 let test_burst_at_quiet_boundary_no_double_engage () =
   let sim, machine, _ = make_machine () in
   let quiet = Time_ns.us 200 in
-  let config =
-    {
-      (Config.resilient Config.default) with
-      Config.degraded_threshold = 3;
-      degraded_window = Time_ns.us 100;
-      degraded_quiet = quiet;
-    }
-  in
+  let config = resilient_with ~threshold:3 ~window:(Time_ns.us 100) ~quiet in
   let r = Recovery.create config machine in
   let rearm_times = ref [] in
   Recovery.on_rearm r (fun () -> rearm_times := Sim.now sim :: !rearm_times);
@@ -258,12 +259,8 @@ let test_burst_at_quiet_boundary_no_double_engage () =
    completion once the quiet period re-opens co-scheduling. *)
 let test_rearm_restores_placement_policy () =
   let config =
-    {
-      (Config.resilient Config.default) with
-      Config.degraded_threshold = 2;
-      degraded_window = Time_ns.ms 1;
-      degraded_quiet = Time_ns.ms 2;
-    }
+    resilient_with ~threshold:2 ~window:(Time_ns.ms 1)
+      ~quiet:(Time_ns.ms 2)
   in
   let sys =
     Taichi_platform.System.create ~seed:11 (Taichi_platform.Policy.Taichi config)
@@ -298,12 +295,8 @@ let test_rearm_restores_placement_policy () =
 let test_forced_engage_pins_and_release_rearms () =
   let sim, machine, _ = make_machine () in
   let config =
-    {
-      (Config.resilient Config.default) with
-      Config.degraded_threshold = 2;
-      degraded_window = Time_ns.us 100;
-      degraded_quiet = Time_ns.us 200;
-    }
+    resilient_with ~threshold:2 ~window:(Time_ns.us 100)
+      ~quiet:(Time_ns.us 200)
   in
   let r = Recovery.create config machine in
   Recovery.note r ~cls:"test" ~action:"a" ~latency:Time_ns.zero;
@@ -342,15 +335,19 @@ let test_forced_engage_without_resilience () =
   checkb "release re-arms" false (Recovery.degraded r);
   checkb "rearm callback ran" true !rearmed
 
+(* Without [resilience] there is no window to trip: more events than the
+   default threshold, all at one instant (inside any window), must not
+   engage degraded mode. *)
 let test_degraded_inert_without_resilience () =
   let _, machine, _ = make_machine () in
-  let config = { Config.default with Config.degraded_threshold = 1 } in
+  let config = { Config.default with Config.resilience = None } in
   let r = Recovery.create config machine in
-  for _ = 1 to 10 do
+  let n = (2 * Config.default_resilience.Config.degraded_threshold) + 1 in
+  for _ = 1 to n do
     Recovery.note r ~cls:"test" ~action:"a" ~latency:Time_ns.zero
   done;
   checkb "never degrades without resilience" false (Recovery.degraded r);
-  checki "events still counted" 10 (Recovery.events r)
+  checki "events still counted" n (Recovery.events r)
 
 let suite =
   [

@@ -15,19 +15,18 @@ let period = Time_ns.us 100
 let min_dwell = Time_ns.us 200
 let quiet = Time_ns.us 300
 
-let test_config () =
+let test_params =
   {
-    (Config.with_overload Config.default) with
-    Config.overload_period = period;
-    overload_min_dwell = min_dwell;
-    overload_quiet = quiet;
-    overload_p99_bound = Time_ns.us 100;
-    overload_busy_high = 0.9;
-    overload_busy_low = 0.2;
-    overload_runq_high = 4;
-    overload_runq_low = 1;
-    overload_tokens_per_period = 2;
-    overload_token_burst = 2;
+    Config.period;
+    min_dwell;
+    quiet;
+    p99_bound = Time_ns.us 100;
+    busy_high = 0.9;
+    busy_low = 0.2;
+    runq_high = 4;
+    runq_low = 1;
+    tokens_per_period = 2;
+    token_burst = 2;
   }
 
 (* A 2-cpu kernel with the governor watching cpu 0's runqueue. Load is
@@ -46,9 +45,8 @@ let make_governor () =
   List.iter
     (fun id -> ignore (Kernel.add_physical_cpu kernel ~id ()))
     [ 0; 1 ];
-  let config = test_config () in
-  let recovery = Recovery.create config machine in
-  let ov = Overload.create config machine kernel recovery in
+  let recovery = Recovery.create Config.default machine in
+  let ov = Overload.create test_params machine kernel recovery in
   Overload.watch_kcpu ov 0;
   (sim, kernel, recovery, ov)
 
