@@ -1,4 +1,4 @@
-.PHONY: all build test smoke sweep-check golden golden-update bench-json ci clean
+.PHONY: all build test smoke sweep-check golden golden-update bench-json profile ci clean
 
 # Cell-level parallelism for the experiment sweeps below. Output and
 # trace exports are byte-identical at any value (see DESIGN.md §11), so
@@ -98,6 +98,18 @@ bench-json: build
 		BENCH_ENGINE_JSON=_build/BENCH_ENGINE.json \
 		dune exec bench/main.exe
 	dune exec bin/bench_lint.exe -- _build/BENCH_ENGINE.json BENCH_FLOORS.json
+
+# Sampling profile of one experiment: `make profile EXP=table5 SCALE=0.02`
+# runs it at jobs=1 under a SIGPROF call-stack sampler and prints the top
+# self and inclusive file:line frames, also written to
+# _build/profile-$(EXP).txt. Shares are approximate (samples land on
+# OCaml poll points); see bin/taichi_prof.ml.
+EXP ?= table5
+SCALE ?= 1.0
+
+profile: build
+	dune exec bin/taichi_prof.exe -- $(EXP) --scale $(SCALE) --seed $(SEED) \
+		--out _build/profile-$(EXP).txt
 
 ci: smoke sweep-check golden
 

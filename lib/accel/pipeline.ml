@@ -7,7 +7,7 @@ let default_config = { preprocess = Time_ns.ns 2700; transfer = Time_ns.ns 500 }
 (* Packet deliveries are batched: instead of one engine event (and one
    closure) per submitted packet, the pipeline keeps a FIFO of
    in-flight descriptors — due time, reserved engine sequence number,
-   destination flight cell, packet — in circular parallel arrays, and
+   destination core, packet — in circular parallel arrays, and
    arms a single drain timer for the queue head. The hardware window is
    constant, so due times and sequence numbers are both monotone in
    submit order and the FIFO never needs sorting.
@@ -27,8 +27,10 @@ type t = {
       (* descriptor pool for everything submitted through this pipeline;
          the service frees after [on_packets_done], the drop and
          discard paths free inline *)
-  rings : (int, Ring.t) Hashtbl.t;
-  in_flight : (int, int ref) Hashtbl.t;
+  (* Both indexed by destination core, grown on demand; nothing iterates
+     them. *)
+  mutable rings : Ring.t option array;
+  mutable in_flight : int array;
   mutable probe_hook : (Packet.t -> unit) option;
   mutable deliver_hook : core:int -> unit;
   mutable submitted : int;
@@ -36,7 +38,7 @@ type t = {
   (* delivery FIFO (circular; grows by doubling; capacity power of 2) *)
   mutable q_due : int array;
   mutable q_seq : int array;
-  mutable q_cell : int ref array;
+  mutable q_core : int array;
   mutable q_pkt : Packet.t array;
   mutable q_head : int;
   mutable q_len : int;
@@ -48,24 +50,37 @@ type t = {
 let config t = t.config
 let arena t = t.arena
 let window t = t.config.preprocess + t.config.transfer
-let attach_ring t ~core ring = Hashtbl.replace t.rings core ring
-let ring t ~core = Hashtbl.find t.rings core
+(* Make room for [core] in the per-core tables. *)
+let reserve t core =
+  if core < 0 then invalid_arg "Pipeline: negative core";
+  let n = Array.length t.in_flight in
+  if core >= n then begin
+    let n' = max (core + 1) (2 * n) in
+    let rings = Array.make n' None and in_flight = Array.make n' 0 in
+    Array.blit t.rings 0 rings 0 n;
+    Array.blit t.in_flight 0 in_flight 0 n;
+    t.rings <- rings;
+    t.in_flight <- in_flight
+  end
+
+let attach_ring t ~core ring =
+  reserve t core;
+  t.rings.(core) <- Some ring
+
+let ring t ~core =
+  if core < 0 || core >= Array.length t.rings then raise Not_found
+  else match t.rings.(core) with Some r -> r | None -> raise Not_found
+
 let set_probe_hook t hook = t.probe_hook <- hook
 let set_deliver_hook t hook = t.deliver_hook <- hook
 
-let flight_cell t core =
-  match Hashtbl.find_opt t.in_flight core with
-  | Some cell -> cell
-  | None ->
-      let cell = ref 0 in
-      Hashtbl.replace t.in_flight core cell;
-      cell
-
-let in_flight t ~core = !(flight_cell t core)
+let in_flight t ~core =
+  if core < 0 || core >= Array.length t.in_flight then 0
+  else t.in_flight.(core)
 
 (* --- delivery FIFO ------------------------------------------------------- *)
 
-let enqueue t ~due ~seq ~cell pkt =
+let enqueue t ~due ~seq ~core pkt =
   let cap = Array.length t.q_due in
   if t.q_len = cap then begin
     (* The packet being enqueued doubles as the fill value, so the empty
@@ -73,18 +88,18 @@ let enqueue t ~due ~seq ~cell pkt =
     let ncap = if cap = 0 then 64 else cap * 2 in
     let ndue = Array.make ncap 0
     and nseq = Array.make ncap 0
-    and ncell = Array.make ncap cell
+    and ncore = Array.make ncap 0
     and npkt = Array.make ncap pkt in
     for i = 0 to t.q_len - 1 do
       let j = (t.q_head + i) land (cap - 1) in
       ndue.(i) <- t.q_due.(j);
       nseq.(i) <- t.q_seq.(j);
-      ncell.(i) <- t.q_cell.(j);
+      ncore.(i) <- t.q_core.(j);
       npkt.(i) <- t.q_pkt.(j)
     done;
     t.q_due <- ndue;
     t.q_seq <- nseq;
-    t.q_cell <- ncell;
+    t.q_core <- ncore;
     t.q_pkt <- npkt;
     t.q_head <- 0
   end;
@@ -92,7 +107,7 @@ let enqueue t ~due ~seq ~cell pkt =
   let i = (t.q_head + t.q_len) land (cap - 1) in
   t.q_due.(i) <- due;
   t.q_seq.(i) <- seq;
-  t.q_cell.(i) <- cell;
+  t.q_core.(i) <- core;
   t.q_pkt.(i) <- pkt;
   t.q_len <- t.q_len + 1
 
@@ -103,12 +118,12 @@ let rec drain t =
   let mask = Array.length t.q_due - 1 in
   let h = t.q_head in
   let pkt = t.q_pkt.(h) in
-  let cell = t.q_cell.(h) in
+  let core = t.q_core.(h) in
   t.q_head <- (h + 1) land mask;
   t.q_len <- t.q_len - 1;
-  decr cell;
+  t.in_flight.(core) <- t.in_flight.(core) - 1;
   pkt.Packet.t_ring <- Sim.now t.sim;
-  let ring = Hashtbl.find t.rings pkt.Packet.dst_core in
+  let ring = ring t ~core:pkt.Packet.dst_core in
   (* The destination ring's owner claims the packet: tenant identity is a
      property of where the I/O lands, stamped on the delivery path. *)
   pkt.Packet.tenant <- Ring.tenant ring;
@@ -139,15 +154,15 @@ let create ?(config = default_config) sim =
       sim;
       config;
       arena = Packet.arena ~capacity:4096 ();
-      rings = Hashtbl.create 16;
-      in_flight = Hashtbl.create 16;
+      rings = [||];
+      in_flight = [||];
       probe_hook = None;
       deliver_hook = (fun ~core:_ -> ());
       submitted = 0;
       delivered = 0;
       q_due = [||];
       q_seq = [||];
-      q_cell = [||];
+      q_core = [||];
       q_pkt = [||];
       q_head = 0;
       q_len = 0;
@@ -163,14 +178,15 @@ let create ?(config = default_config) sim =
 let submit t pkt =
   t.submitted <- t.submitted + 1;
   pkt.Packet.t_submit <- Sim.now t.sim;
-  let cell = flight_cell t pkt.Packet.dst_core in
-  incr cell;
+  let core = pkt.Packet.dst_core in
+  reserve t core;
+  t.in_flight.(core) <- t.in_flight.(core) + 1;
   (match t.probe_hook with Some hook -> hook pkt | None -> ());
   (* Reserved after the probe hook, matching the seed engine's sequence
      assignment order exactly. *)
   let seq = Sim.reserve_seq t.sim in
   let due = Sim.now t.sim + window t in
-  enqueue t ~due ~seq ~cell pkt;
+  enqueue t ~due ~seq ~core pkt;
   if not t.armed then arm t ~due ~seq
 
 let submitted t = t.submitted

@@ -9,7 +9,7 @@ type t = {
   sim : Sim.t;
   table : State_table.t;
   sched : Vcpu_sched.t;
-  pending : (int, unit) Hashtbl.t;
+  mutable pending : bool array;  (* core -> probe IRQ in flight *)
   h_triggers : Counters.handle;
   h_suppressed : Counters.handle;
   mutable triggers : int;
@@ -17,16 +17,25 @@ type t = {
   mutable suppressor : (core:int -> bool) option;
 }
 
+let is_pending t core =
+  core >= 0 && core < Array.length t.pending && t.pending.(core)
+
 let fire t ~core =
-  Hashtbl.replace t.pending core ();
+  if core >= Array.length t.pending then begin
+    let grown = Array.make (max (core + 1) (2 * Array.length t.pending)) false in
+    Array.blit t.pending 0 grown 0 (Array.length t.pending);
+    t.pending <- grown
+  end;
+  t.pending.(core) <- true;
   t.triggers <- t.triggers + 1;
   Counters.incr_h (Machine.counters t.machine) t.h_triggers;
-  Trace.emitf (Machine.trace t.machine) ~time:(Sim.now t.sim) ~core
-    ~category:Trace.Cat.probe_hw "irq scheduled in %dns"
-    irq_latency;
+  let trace = Machine.trace t.machine in
+  if Trace.enabled trace then
+    Trace.emitf trace ~time:(Sim.now t.sim) ~core ~category:Trace.Cat.probe_hw
+      "irq scheduled in %dns" irq_latency;
   ignore
     (Sim.after t.sim irq_latency (fun () ->
-         Hashtbl.remove t.pending core;
+         t.pending.(core) <- false;
          Vcpu_sched.on_probe_irq t.sched ~core))
 
 let install config machine table pipeline sched =
@@ -36,7 +45,7 @@ let install config machine table pipeline sched =
       sim = Machine.sim machine;
       table;
       sched;
-      pending = Hashtbl.create 16;
+      pending = Array.make (Machine.physical_cores machine) false;
       h_triggers = Counters.handle (Machine.counters machine) "probe.hw.triggers";
       h_suppressed =
         Counters.handle (Machine.counters machine) "probe.hw.suppressed";
@@ -53,7 +62,7 @@ let install config machine table pipeline sched =
            match State_table.get t.table ~core with
            | State_table.P_state -> ()
            | State_table.V_state ->
-               if Hashtbl.mem t.pending core then begin
+               if is_pending t core then begin
                  t.suppressed <- t.suppressed + 1;
                  Counters.incr_h (Machine.counters t.machine) t.h_suppressed
                end
@@ -76,7 +85,7 @@ let set_suppressor t f = t.suppressor <- f
    scheduler believes needs no eviction. The normal pending dedup still
    applies so at most one IRQ per core is in flight. *)
 let misfire t ~core =
-  if not (Hashtbl.mem t.pending core) then fire t ~core
+  if not (is_pending t core) then fire t ~core
 
 let triggers t = t.triggers
 let suppressed t = t.suppressed

@@ -52,18 +52,24 @@ type t = {
   sw : Sw_probe.t;
   table : State_table.t;
   recovery : Recovery.t;
-  pending_place : (int, Vcpu.t) Hashtbl.t;  (* core -> vcpu awaiting softirq *)
+  (* Per-core tables are indexed by physical core and [by_kcpu] by kernel
+     CPU id, so the per-event placement path hashes nothing. [placed] and
+     [dps] are [Core_table]s: the paths that walk them visit cores in the
+     order the golden digests pin (see core_table.mli). *)
+  pending_place : Vcpu.t option array;  (* core -> vcpu awaiting softirq *)
   mutable vcpu_list : Vcpu.t list;  (* reverse registration order *)
-  by_kcpu : (int, Vcpu.t) Hashtbl.t;
-  dps : (int, Dp_service.t) Hashtbl.t;  (* physical core -> service *)
-  placed : (int, Vcpu.t) Hashtbl.t;  (* physical core -> vcpu *)
-  slice_timers : (int, Sim.handle) Hashtbl.t;  (* core -> expiry event *)
+  mutable by_kcpu : Vcpu.t option array;
+  dps : Dp_service.t Core_table.t;  (* physical core -> service *)
+  mutable dp_visit : Dp_service.t array;
+      (* [dps] in pinned visit order (the reverse of [bindings]); services
+         are never unregistered, so it is rebuilt only by [register_dp] *)
+  placed : Vcpu.t Core_table.t;  (* physical core -> vcpu *)
+  slice_timers : Sim.handle option array;  (* core -> expiry event *)
   runq : Vcpu.t Wsched.t;
       (* runnable unplaced vCPUs: two-stage weighted queue — tenant
          deficit-round-robin over granted pCPU time, then strict-priority
          FIFO across admission-class ranks. With the implicit single
          tenant it degenerates to the flat FIFO it replaced. *)
-  in_runq : (int, unit) Hashtbl.t;  (* vid set *)
   tag_tenants : bool;  (* explicit multi-tenant table: mirror counters *)
   borrowing : (int, unit) Hashtbl.t;  (* vid set: borrow in progress *)
   borrowed_cores : (int, unit) Hashtbl.t;  (* CP pCPUs currently frozen *)
@@ -152,6 +158,10 @@ let charge_grant t v occupancy =
     end
   end
 
+(* Every payload site checks [tracing] first, so a run with tracing off
+   builds no format closure and no payload string. *)
+let tracing t = Trace.enabled (Machine.trace t.machine)
+
 let emitf t ~core ~category fmt =
   Trace.emitf (Machine.trace t.machine) ~time:(Sim.now t.sim) ~core ~category fmt
 
@@ -160,6 +170,14 @@ let emitf t ~core ~category fmt =
 let transition t ~core ~cause st = Core_state.transition t.cs ~core ~cause st
 
 (* --- runnable queue ----------------------------------------------------- *)
+
+(* Borrows are rare: the placement path asks this on every pop, so an
+   empty borrow set answers without hashing. *)
+let is_borrowing t v =
+  Hashtbl.length t.borrowing > 0 && Hashtbl.mem t.borrowing v.Vcpu.vid
+
+let on_core v core =
+  match v.Vcpu.placement with Vcpu.On_core c -> c = core | Vcpu.Unplaced -> false
 
 (* Degraded mode is static partitioning: data-plane cores stay data-plane,
    so the placement entry points act as if the runqueue were empty. The
@@ -182,12 +200,12 @@ let rec pop_runnable t =
     match Wsched.pop t.runq ~gate:(gate_open t) with
     | None -> None  (* empty, or every backlogged tenant gated *)
     | Some v ->
-        Hashtbl.remove t.in_runq v.Vcpu.vid;
+        v.Vcpu.in_runq <- false;
         (* Skip stale entries: placed meanwhile, borrowing, or out of
            work. *)
         if
           Vcpu.is_placed v
-          || Hashtbl.mem t.borrowing v.Vcpu.vid
+          || is_borrowing t v
           || not (has_work t v)
         then pop_runnable t
         else Some v
@@ -201,12 +219,12 @@ let mark_runnable t v =
     v.Vcpu.tenant >= 0
     && Wsched.is_live t.runq ~tenant:v.Vcpu.tenant
     && (not (Vcpu.is_placed v))
-    && (not (Hashtbl.mem t.in_runq v.Vcpu.vid))
-    && (not (Hashtbl.mem t.borrowing v.Vcpu.vid))
+    && (not v.Vcpu.in_runq)
+    && (not (is_borrowing t v))
     && has_work t v
   then begin
     Wsched.push t.runq ~tenant:v.Vcpu.tenant ~cls:v.Vcpu.cls_rank v;
-    Hashtbl.replace t.in_runq v.Vcpu.vid ()
+    v.Vcpu.in_runq <- true
   end
 
 let runnable_waiting t =
@@ -214,35 +232,39 @@ let runnable_waiting t =
   && Wsched.exists
        (fun v ->
          (not (Vcpu.is_placed v))
-         && (not (Hashtbl.mem t.borrowing v.Vcpu.vid))
+         && (not (is_borrowing t v))
          && has_work t v)
        t.runq
 
 (* First data-plane core currently parked, if any: the preferred landing
    spot for a vCPU with fresh work and the §4.1 rescue target. *)
 let find_parked_dp t =
-  Hashtbl.fold
-    (fun _ dp acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if Dp_service.state dp = Dp_service.Idle_parked then Some dp
-          else None)
-    t.dps None
+  let visit = t.dp_visit in
+  let rec scan i =
+    if i = Array.length visit then None
+    else
+      let dp = visit.(i) in
+      if Dp_service.state dp = Dp_service.Idle_parked then Some dp
+      else scan (i + 1)
+  in
+  scan 0
+
+let placed_on t core = Core_table.find t.placed core
+let dp_on t core = Option.get (Core_table.find t.dps core)
 
 (* --- placement ----------------------------------------------------------- *)
 
 let cancel_slice t core =
-  match Hashtbl.find_opt t.slice_timers core with
+  match t.slice_timers.(core) with
   | Some h ->
       Sim.cancel t.sim h;
-      Hashtbl.remove t.slice_timers core
+      t.slice_timers.(core) <- None
   | None -> ()
 
 let rec arm_slice t v core =
   cancel_slice t core;
   let h = Sim.after t.sim v.Vcpu.slice (fun () -> on_slice_expiry t core) in
-  Hashtbl.replace t.slice_timers core h;
+  t.slice_timers.(core) <- Some h;
   v.Vcpu.slice_started <- Sim.now t.sim
 
 (* Bring [v] up on [core]; the core must already be committed (yielded DP
@@ -251,18 +273,19 @@ let rec arm_slice t v core =
    the core there) and a fresh switch on the rotation path. *)
 and back_on_core t v core ~cause =
   transition t ~core ~cause (Core_state.Switching Core_state.From_dp);
-  Hashtbl.replace t.placed core v;
+  Core_table.replace t.placed core v;
   v.Vcpu.placement <- Vcpu.On_core core;
   v.Vcpu.last_placed <- Sim.now t.sim;
   Kernel.set_backing_core t.kernel (kcpu_of t v) (Some core);
   t.s_placements <- t.s_placements + 1;
   count_v t v t.cells.c_placements;
-  emitf t ~core ~category:Trace.Cat.sched_place "vid=%d kcpu=%d" v.Vcpu.vid
-    v.Vcpu.kcpu;
+  if tracing t then
+    emitf t ~core ~category:Trace.Cat.sched_place "vid=%d kcpu=%d" v.Vcpu.vid
+      v.Vcpu.kcpu;
   charge_core t core world_switch;
   ignore
     (Sim.after t.sim world_switch (fun () ->
-         match Hashtbl.find_opt t.placed core with
+         match placed_on t core with
          | Some v' when v' == v ->
              Kernel.set_backed t.kernel (kcpu_of t v) true;
              transition t ~core ~cause (Core_state.Vcpu_running v.Vcpu.vid);
@@ -280,8 +303,8 @@ and try_place_on_dp t v dp =
        same instant: the hardware probe already treats the core as
        vCPU-bound while the softirq is in flight, so a racing packet
        evicts cleanly. *)
-    Hashtbl.replace t.pending_place core v;
-    Hashtbl.replace t.placed core v;
+    t.pending_place.(core) <- Some v;
+    Core_table.replace t.placed core v;
     v.Vcpu.placement <- Vcpu.On_core core;
     v.Vcpu.last_placed <- Sim.now t.sim;
     Softirq.raise_softirq t.softirq ~cpu:core ~vector:Softirq.vector_taichi;
@@ -290,13 +313,13 @@ and try_place_on_dp t v dp =
   else false
 
 and on_place_softirq t core =
-  match Hashtbl.find_opt t.pending_place core with
+  match t.pending_place.(core) with
   | None -> ()
   | Some v -> (
-      Hashtbl.remove t.pending_place core;
+      t.pending_place.(core) <- None;
       (* The yield may have been revoked (an eviction raced the softirq). *)
-      match Hashtbl.find_opt t.placed core with
-      | Some v' when v' == v && v.Vcpu.placement = Vcpu.On_core core ->
+      match placed_on t core with
+      | Some v' when v' == v && on_core v core ->
           back_on_core t v core ~cause:Core_state.Place
       | Some _ | None -> ())
 
@@ -313,7 +336,7 @@ and try_place_parked t v =
   if
     v.Vcpu.tenant >= 0
     && (not (Vcpu.is_placed v))
-    && not (Hashtbl.mem t.borrowing v.Vcpu.vid)
+    && not (is_borrowing t v)
   then
     if is_degraded t then mark_runnable t v
     else
@@ -331,7 +354,7 @@ and unback t v core =
   Cache_model.occupy_foreign (Machine.cache t.machine) ~core occupancy;
   Kernel.set_backed t.kernel (kcpu_of t v) false;
   Kernel.set_backing_core t.kernel (kcpu_of t v) None;
-  Hashtbl.remove t.placed core;
+  Core_table.remove t.placed core;
   v.Vcpu.placement <- Vcpu.Unplaced
 
 (* Full eviction back to the data-plane service. The transition cause maps
@@ -348,13 +371,15 @@ and evict_to_dp t v core ~cause =
         (kind, evict_cell t kind)
   in
   count_v t v kcell;
-  emitf t ~core ~category:Trace.Cat.sched_evict "vid=%d kind=%s" v.Vcpu.vid kind;
+  if tracing t then
+    emitf t ~core ~category:Trace.Cat.sched_evict "vid=%d kind=%s" v.Vcpu.vid
+      kind;
   unback t v core;
   (* Entering [Switching To_dp] flips the accelerator mirror back to
      P-state at this same instant, exactly where the direct table write
      used to sit. *)
   transition t ~core ~cause (Core_state.Switching Core_state.To_dp);
-  let dp = Hashtbl.find t.dps core in
+  let dp = dp_on t core in
   (* §4.1 safe scheduling in lock context. *)
   let cur = Kernel.current (kcpu_of t v) in
   let lock_bound = match cur with Some task -> Task.nonpreemptible task | None -> false in
@@ -380,22 +405,24 @@ and switch_vcpu t ~from_v ~to_v core ~cause =
   unback t from_v core;
   t.s_rotations <- t.s_rotations + 1;
   count t t.cells.h_rotations;
-  emitf t ~core ~category:Trace.Cat.sched_rotate "from=%d to=%d" from_v.Vcpu.vid
-    to_v.Vcpu.vid;
+  if tracing t then
+    emitf t ~core ~category:Trace.Cat.sched_rotate "from=%d to=%d"
+      from_v.Vcpu.vid to_v.Vcpu.vid;
   mark_runnable t from_v;
   back_on_core t to_v core ~cause
 
 and on_slice_expiry t core =
-  Hashtbl.remove t.slice_timers core;
-  match Hashtbl.find_opt t.placed core with
+  t.slice_timers.(core) <- None;
+  match placed_on t core with
   | None -> ()
   | Some v ->
       Vcpu.record_exit v Vmexit.Timeslice_expired;
-      let dp = Hashtbl.find t.dps core in
+      let dp = dp_on t core in
       let pending = Dp_service.pending_work dp in
       count_v t v t.cells.c_slice_expiries;
-      emitf t ~core ~category:Trace.Cat.sched_slice "vid=%d pending=%b"
-        v.Vcpu.vid pending;
+      if tracing t then
+        emitf t ~core ~category:Trace.Cat.sched_slice "vid=%d pending=%b"
+          v.Vcpu.vid pending;
       if pending then begin
         t.s_pending_evictions <- t.s_pending_evictions + 1;
         v.Vcpu.slice <- initial_slice;
@@ -437,7 +464,8 @@ and halt_exit t v core =
   Vcpu.record_exit v Vmexit.Halt;
   t.s_halt_exits <- t.s_halt_exits + 1;
   count_v t v t.cells.c_halt_exits;
-  emitf t ~core ~category:Trace.Cat.sched_halt "vid=%d" v.Vcpu.vid;
+  if tracing t then
+    emitf t ~core ~category:Trace.Cat.sched_halt "vid=%d" v.Vcpu.vid;
   match pop_runnable t with
   | Some v' -> switch_vcpu t ~from_v:v ~to_v:v' core ~cause:Core_state.Halt
   | None -> evict_to_dp t v core ~cause:Core_state.Halt
@@ -450,8 +478,9 @@ and halt_exit t v core =
 and rescue t v =
   t.s_lock_rescues <- t.s_lock_rescues + 1;
   count t t.cells.h_rescues;
-  emitf t ~core:Trace.no_core ~category:Trace.Cat.sched_rescue "vid=%d"
-    v.Vcpu.vid;
+  if tracing t then
+    emitf t ~core:Trace.no_core ~category:Trace.Cat.sched_rescue "vid=%d"
+      v.Vcpu.vid;
   do_rescue t v
 
 and do_rescue t v =
@@ -494,7 +523,7 @@ and borrow_cp_pcpu t v =
           (Sim.after t.sim borrow_slice (fun () ->
                if
                  (not (Vcpu.is_placed v))
-                 && not (Hashtbl.mem t.borrowing v.Vcpu.vid)
+                 && not (is_borrowing t v)
                then do_rescue t v))
       end
   | cp_list ->
@@ -505,8 +534,9 @@ and borrow_cp_pcpu t v =
       let cp_id = List.nth cp_list (t.next_borrow mod n) in
       t.next_borrow <- t.next_borrow + 1;
       Hashtbl.replace t.borrowed_cores cp_id ();
-      emitf t ~core:cp_id ~category:Trace.Cat.sched_borrow "start vid=%d cp=%d"
-        v.Vcpu.vid cp_id;
+      if tracing t then
+        emitf t ~core:cp_id ~category:Trace.Cat.sched_borrow
+          "start vid=%d cp=%d" v.Vcpu.vid cp_id;
       (* The rescue freezes the pCPU beneath the OS: a world switch away
          from CP occupancy, then the vCPU runs on the physical core. *)
       transition t ~core:cp_id ~cause:Core_state.Lock_rescue
@@ -531,8 +561,8 @@ and borrow_check t v cp_id =
          if
            (* The watchdog may have force-ended this borrow between two
               checks; a stale timer must not end it a second time. *)
-           Hashtbl.mem t.borrowing v.Vcpu.vid
-           && v.Vcpu.placement = Vcpu.On_core cp_id
+           is_borrowing t v
+           && on_core v cp_id
          then
            let kc = kcpu_of t v in
            let still_locked =
@@ -552,8 +582,9 @@ and borrow_check t v cp_id =
            v.Vcpu.placement <- Vcpu.Unplaced;
            Hashtbl.remove t.borrowing v.Vcpu.vid;
            Hashtbl.remove t.borrowed_cores cp_id;
-           emitf t ~core:cp_id ~category:Trace.Cat.sched_borrow
-             "end vid=%d cp=%d" v.Vcpu.vid cp_id;
+           if tracing t then
+             emitf t ~core:cp_id ~category:Trace.Cat.sched_borrow
+               "end vid=%d cp=%d" v.Vcpu.vid cp_id;
            transition t ~core:cp_id ~cause:Core_state.Borrow
              Core_state.Cp_dedicated;
            Kernel.set_backed t.kernel (Kernel.cpu t.kernel cp_id) true;
@@ -564,7 +595,7 @@ and borrow_check t v cp_id =
 (* --- hardware-probe entry ------------------------------------------------ *)
 
 let on_probe_irq t ~core =
-  match Hashtbl.find_opt t.placed core with
+  match placed_on t core with
   | None -> ()
   | Some v ->
       Vcpu.record_exit v Vmexit.Hw_probe_irq;
@@ -577,25 +608,29 @@ let on_probe_irq t ~core =
 
 (* --- kernel hooks --------------------------------------------------------- *)
 
+let vcpu_of_kcpu t kcpu_id =
+  if kcpu_id < 0 || kcpu_id >= Array.length t.by_kcpu then None
+  else t.by_kcpu.(kcpu_id)
+
 let on_work_available t kcpu_id =
-  match Hashtbl.find_opt t.by_kcpu kcpu_id with
+  match vcpu_of_kcpu t kcpu_id with
   | None -> ()
   | Some v -> try_place_parked t v
 
 let poke t ~kcpu = on_work_available t kcpu
 
 let on_cpu_idle t kcpu_id =
-  match Hashtbl.find_opt t.by_kcpu kcpu_id with
+  match vcpu_of_kcpu t kcpu_id with
   | None -> ()
   | Some v -> (
       match v.Vcpu.placement with
       | Vcpu.Unplaced -> ()
       | Vcpu.On_core core ->
-          if Hashtbl.mem t.borrowing v.Vcpu.vid then ()
+          if is_borrowing t v then ()
           else
             ignore
               (Sim.after t.sim halt_poll (fun () ->
-                   match Hashtbl.find_opt t.placed core with
+                   match placed_on t core with
                    | Some v' when v' == v && not (has_work t v) ->
                        halt_exit t v core
                    | Some _ | None -> ())))
@@ -615,7 +650,7 @@ let overdue t v =
    non-preemptible current task, or degraded mode reclaiming the core. A
    vCPU computing on a genuinely idle core may keep it. *)
 let watchdog_pressure t v core =
-  (match Hashtbl.find_opt t.dps core with
+  (match Core_table.find t.dps core with
   | Some dp -> Dp_service.pending_work dp
   | None -> false)
   || lockbound t v || is_degraded t
@@ -637,8 +672,9 @@ let force_end_borrow t v cp_id =
   Hashtbl.remove t.borrowed_cores cp_id;
   t.s_unsafe <- t.s_unsafe + 1;
   count t t.cells.h_unsafe;
-  emitf t ~core:cp_id ~category:Trace.Cat.sched_borrow "forced-end vid=%d cp=%d"
-    v.Vcpu.vid cp_id;
+  if tracing t then
+    emitf t ~core:cp_id ~category:Trace.Cat.sched_borrow
+      "forced-end vid=%d cp=%d" v.Vcpu.vid cp_id;
   transition t ~core:cp_id ~cause:Core_state.Watchdog Core_state.Cp_dedicated;
   Kernel.set_backed t.kernel (Kernel.cpu t.kernel cp_id) true;
   mark_runnable t v;
@@ -646,12 +682,12 @@ let force_end_borrow t v cp_id =
 
 let watchdog_check t =
   (* Snapshot both maps: every action below mutates them. *)
-  let placed = Hashtbl.fold (fun core v acc -> (core, v) :: acc) t.placed [] in
+  let placed = Core_table.bindings t.placed in
   List.iter
     (fun (core, v) ->
       if
         overdue t v
-        && (not (Hashtbl.mem t.pending_place core))
+        && Option.is_none t.pending_place.(core)
         && Core_state.get t.cs ~core = Core_state.Vcpu_running v.Vcpu.vid
         && watchdog_pressure t v core
       then begin
@@ -691,7 +727,7 @@ let watchdog_check t =
       (fun v ->
         if
           (not (Vcpu.is_placed v))
-          && not (Hashtbl.mem t.borrowing v.Vcpu.vid)
+          && not (is_borrowing t v)
         then
           match Kernel.current (kcpu_of t v) with
           | Some task
@@ -708,7 +744,7 @@ let rec watchdog_loop t =
 
 let watchdog_stuck t =
   let stuck = ref 0 in
-  Hashtbl.iter
+  Core_table.iter
     (fun core v -> if overdue t v && watchdog_pressure t v core then incr stuck)
     t.placed;
   Hashtbl.iter
@@ -756,7 +792,7 @@ let install_invariants t =
       for core = 0 to Core_state.cores t.cs - 1 do
         match Core_state.get t.cs ~core with
         | Core_state.Vcpu_running vid -> (
-            match Hashtbl.find_opt t.placed core with
+            match placed_on t core with
             | Some v when v.Vcpu.vid = vid ->
                 if not (Kernel.is_backed (kcpu_of t v)) then
                   add "core %d runs vid %d but its kcpu is not backed" core vid
@@ -769,14 +805,14 @@ let install_invariants t =
                   && List.exists
                        (fun v ->
                          v.Vcpu.vid = vid
-                         && v.Vcpu.placement = Vcpu.On_core core)
+                         && on_core v core)
                        t.vcpu_list
                 in
                 if not borrowed then
                   add "core %d runs vid %d but no placement records it" core vid)
         | Core_state.Dp_running | Core_state.Dp_counting | Core_state.Dp_parked
           ->
-            if Hashtbl.mem t.placed core then
+            if Core_table.mem t.placed core then
               add "data-plane core %d still has a placed vCPU" core
         | Core_state.Offline | Core_state.Switching _ | Core_state.Cp_dedicated
           ->
@@ -784,8 +820,8 @@ let install_invariants t =
       done;
       List.rev !out);
   Core_state.add_invariant t.cs ~name:"dp-view" (fun () ->
-      Hashtbl.fold
-        (fun core dp acc ->
+      List.fold_left
+        (fun acc (core, dp) ->
           let coherent =
             match (Core_state.get t.cs ~core, Dp_service.state dp) with
             | Core_state.Dp_running, Dp_service.Processing
@@ -802,7 +838,7 @@ let install_invariants t =
             Printf.sprintf "service on core %d disagrees with the core state"
               core
             :: acc)
-        t.dps []);
+        [] (List.rev (Core_table.bindings t.dps)));
   Core_state.add_invariant t.cs ~name:"state-table-mirror" (fun () ->
       let ipi = (Machine.config t.machine).Machine.ipi_latency in
       let out = ref [] in
@@ -835,6 +871,7 @@ let create ?tenants config machine kernel softirq sw table recovery =
     Array.init (Tenant.count tenant_table) (fun id ->
         (Tenant.get tenant_table id).Tenant.weight)
   in
+  let cores = Core_state.cores (Machine.core_state machine) in
   let ctr = Machine.counters machine in
   let cell name = { ch = Counters.handle ctr name; cl = Counters.lane ctr name } in
   let cells =
@@ -869,14 +906,14 @@ let create ?tenants config machine kernel softirq sw table recovery =
       sw;
       table;
       recovery;
-      pending_place = Hashtbl.create 16;
+      pending_place = Array.make cores None;
       vcpu_list = [];
-      by_kcpu = Hashtbl.create 16;
-      dps = Hashtbl.create 16;
-      placed = Hashtbl.create 16;
-      slice_timers = Hashtbl.create 16;
+      by_kcpu = [||];
+      dps = Core_table.create ~cores;
+      dp_visit = [||];
+      placed = Core_table.create ~cores;
+      slice_timers = Array.make cores None;
       runq = Wsched.create ~weights ~classes:(List.length Tenant.all_classes);
-      in_runq = Hashtbl.create 16;
       tag_tenants = Tenant.is_multi tenant_table;
       borrowing = Hashtbl.create 16;
       borrowed_cores = Hashtbl.create 16;
@@ -905,13 +942,11 @@ let create ?tenants config machine kernel softirq sw table recovery =
      window under [resilience], or the overload governor's forced hold —
      and both must statically partition. *)
   Recovery.on_engage recovery (fun () ->
-      let placed =
-        Hashtbl.fold (fun core v acc -> (core, v) :: acc) t.placed []
-      in
+      let placed = Core_table.bindings t.placed in
       List.iter
         (fun (core, v) ->
           if
-            (not (Hashtbl.mem t.pending_place core))
+            Option.is_none t.pending_place.(core)
             && Core_state.get t.cs ~core = Core_state.Vcpu_running v.Vcpu.vid
             && not (lockbound t v)
           then evict_to_dp t v core ~cause:Core_state.Watchdog)
@@ -933,13 +968,20 @@ let create ?tenants config machine kernel softirq sw table recovery =
    append-per-add it used to be. *)
 let add_vcpu t v =
   t.vcpu_list <- v :: t.vcpu_list;
-  Hashtbl.replace t.by_kcpu v.Vcpu.kcpu v
+  let k = v.Vcpu.kcpu in
+  if k >= Array.length t.by_kcpu then begin
+    let grown = Array.make (max (k + 1) (2 * Array.length t.by_kcpu)) None in
+    Array.blit t.by_kcpu 0 grown 0 (Array.length t.by_kcpu);
+    t.by_kcpu <- grown
+  end;
+  t.by_kcpu.(k) <- Some v
 
 let vcpus t = List.rev t.vcpu_list
 
 let register_dp t dp =
   let core = Dp_service.core dp in
-  Hashtbl.replace t.dps core dp;
+  Core_table.replace t.dps core dp;
+  t.dp_visit <- Array.of_list (List.rev_map snd (Core_table.bindings t.dps));
   Softirq.register t.softirq ~cpu:core ~vector:Softirq.vector_taichi (fun () ->
       on_place_softirq t core);
   let hooks = Dp_service.hooks dp in
@@ -961,7 +1003,7 @@ let set_cp_pcpus t ids =
         transition t ~core:id ~cause:Core_state.Hotplug Core_state.Cp_dedicated)
     ids
 
-let placed_vcpu t ~core = Hashtbl.find_opt t.placed core
+let placed_vcpu t ~core = placed_on t core
 let set_place_gate t gate = t.place_gate <- gate
 
 let granted_ns t ~tenant = Wsched.granted t.runq ~tenant
@@ -982,8 +1024,8 @@ let tenant_vcpus t ~tenant =
    unqueued and workless, so no weighted-queue entry or counter mirror can
    still carry the old id. *)
 let reassign_vcpu t v ~tenant ~cls_rank =
-  if Vcpu.is_placed v || Hashtbl.mem t.in_runq v.Vcpu.vid
-     || Hashtbl.mem t.borrowing v.Vcpu.vid
+  if Vcpu.is_placed v || v.Vcpu.in_runq
+     || is_borrowing t v
   then
     invalid_arg
       (Printf.sprintf "Vcpu_sched.reassign_vcpu: vid %d is not quiescent"
@@ -996,7 +1038,7 @@ let reassign_vcpu t v ~tenant ~cls_rank =
    vCPUs themselves are handed back for the caller to tear down. *)
 let flush_tenant t ~tenant =
   let flushed = Wsched.flush t.runq ~tenant in
-  List.iter (fun v -> Hashtbl.remove t.in_runq v.Vcpu.vid) flushed;
+  List.iter (fun v -> v.Vcpu.in_runq <- false) flushed;
   flushed
 
 (* Force-evict a draining tenant's placed vCPUs and end its borrows: the
@@ -1005,26 +1047,27 @@ let flush_tenant t ~tenant =
    usual circular-wait hazard the rescue exists for cannot bite; they are
    suspended unbacked and reaped at the next preemptible boundary. *)
 let force_evict_tenant t ~tenant =
-  let placed = Hashtbl.fold (fun core v acc -> (core, v) :: acc) t.placed [] in
+  let placed = Core_table.bindings t.placed in
   List.iter
     (fun (core, v) ->
       if
         v.Vcpu.tenant = tenant
-        && (not (Hashtbl.mem t.pending_place core))
+        && Option.is_none t.pending_place.(core)
         && Core_state.get t.cs ~core = Core_state.Vcpu_running v.Vcpu.vid
-        && not (Hashtbl.mem t.borrowing v.Vcpu.vid)
+        && not (is_borrowing t v)
       then begin
         if lockbound t v then begin
           (* Suspend unbacked instead of [evict_to_dp]'s rescue path. *)
           count_v t v t.cells.c_evict_drain;
-          emitf t ~core ~category:Trace.Cat.sched_evict "vid=%d kind=drain"
-            v.Vcpu.vid;
+          if tracing t then
+            emitf t ~core ~category:Trace.Cat.sched_evict "vid=%d kind=drain"
+              v.Vcpu.vid;
           unback t v core;
           transition t ~core ~cause:Core_state.Watchdog
             (Core_state.Switching Core_state.To_dp);
           t.s_unsafe <- t.s_unsafe + 1;
           count t t.cells.h_unsafe;
-          Dp_service.resume (Hashtbl.find t.dps core)
+          Dp_service.resume (dp_on t core)
             ~switch_cost:world_switch
         end
         else evict_to_dp t v core ~cause:Core_state.Watchdog
@@ -1054,9 +1097,9 @@ let quiesce_violations t ~tenant =
       else
         let say fmt = Printf.ksprintf (fun s -> [ s ]) fmt in
         if Vcpu.is_placed v then say "vid %d still placed" v.Vcpu.vid
-        else if Hashtbl.mem t.borrowing v.Vcpu.vid then
+        else if is_borrowing t v then
           say "vid %d still borrowing" v.Vcpu.vid
-        else if Hashtbl.mem t.in_runq v.Vcpu.vid then
+        else if v.Vcpu.in_runq then
           say "vid %d still queued" v.Vcpu.vid
         else if has_work t v then say "vid %d still has work" v.Vcpu.vid
         else [])

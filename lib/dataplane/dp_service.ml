@@ -94,6 +94,10 @@ let count t c =
   Counters.incr_h (Machine.counters t.machine) c.ch;
   if t.tag_tenant then Counters.lane_incr c.cl t.owner
 
+(* Payload sites check [tracing] first: with tracing off a park, wake,
+   yield or resume builds no message. *)
+let tracing t = Trace.enabled (Machine.trace t.machine)
+
 let emit t ~category message =
   Trace.emit (Machine.trace t.machine) ~time:(Sim.now t.sim) ~core:t.config.core
     ~category message
@@ -146,7 +150,8 @@ let rec enter_counting t ~cause =
            transition t ~cause:Core_state.Park Core_state.Dp_parked;
            t.park_since <- Sim.now t.sim;
            count t t.c_parks;
-           emit t ~category:Trace.Cat.dp_park (Printf.sprintf "n=%d" n);
+           if tracing t then
+             emit t ~category:Trace.Cat.dp_park (Printf.sprintf "n=%d" n);
            t.hooks.idle_detected t))
 
 and start_processing t ~cause ~discovery =
@@ -203,7 +208,7 @@ let on_ring_activity t =
     | Idle_parked ->
         settle_park_time t;
         count t t.c_wakes;
-        emit t ~category:Trace.Cat.dp_wake "work arrived";
+        if tracing t then emit t ~category:Trace.Cat.dp_wake "work arrived";
         start_processing t ~cause:Core_state.Wake ~discovery:t.config.poll_iter
     | Yielded -> t.hooks.work_arrived_while_yielded t
 
@@ -307,7 +312,7 @@ let try_yield t =
       transition t ~cause:Core_state.Yield (Core_state.Switching Core_state.From_dp);
       t.yields <- t.yields + 1;
       count t t.c_yields;
-      emit t ~category:Trace.Cat.dp_yield "core given up";
+      if tracing t then emit t ~category:Trace.Cat.dp_yield "core given up";
       true
   | Counting | Idle_parked | Processing | Yielded -> false
 
@@ -315,8 +320,9 @@ let resume t ~switch_cost =
   if t.started && state t = Yielded && not t.resuming then begin
     t.resuming <- true;
     count t t.c_resumes;
-    emit t ~category:Trace.Cat.dp_resume
-      (Printf.sprintf "switch_cost=%d" switch_cost);
+    if tracing t then
+      emit t ~category:Trace.Cat.dp_resume
+        (Printf.sprintf "switch_cost=%d" switch_cost);
     (* The evictor (vCPU scheduler) may already have moved the core into
        [Switching To_dp] as part of the eviction; only transition here when
        the give-back originates elsewhere (kernel reclaim under

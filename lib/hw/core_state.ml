@@ -44,9 +44,10 @@ type t = {
   now : unit -> Time_ns.t;
   states : state array;
   since : Time_ns.t array;
-  (* Cumulative dwell per (core, state label); the open span of the current
-     state is added on read so [dwell] is always consistent with [now]. *)
-  dwell : (string, Time_ns.t) Hashtbl.t array;
+  (* Cumulative dwell per core, indexed by [state_index]; the open span of
+     the current state is added on read so [dwell] is always consistent
+     with [now]. *)
+  dwell : Time_ns.t array array;
   mutable mode : mode;
   mutable subscribers : (event -> unit) list;
   mutable invariants : (string * (unit -> string list)) list;
@@ -54,13 +55,26 @@ type t = {
   mutable illegal : int;
 }
 
+(* One dwell slot per state constructor; [Vcpu_running] and [Switching]
+   fold all their payloads into one slot, as their labels do. *)
+let n_states = 7
+
+let state_index = function
+  | Offline -> 0
+  | Dp_running -> 1
+  | Dp_counting -> 2
+  | Dp_parked -> 3
+  | Vcpu_running _ -> 4
+  | Switching _ -> 5
+  | Cp_dedicated -> 6
+
 let create ~cores ~now =
   if cores <= 0 then invalid_arg "Core_state.create: cores must be positive";
   {
     now;
     states = Array.make cores Offline;
     since = Array.make cores (now ());
-    dwell = Array.init cores (fun _ -> Hashtbl.create 8);
+    dwell = Array.init cores (fun _ -> Array.make n_states 0);
     mode = Strict;
     subscribers = [];
     invariants = [];
@@ -146,11 +160,16 @@ let describe core from to_ cause =
 
 let add_dwell t core st span =
   if span > 0 then begin
-    let tbl = t.dwell.(core) in
-    let label = state_label st in
-    let prev = try Hashtbl.find tbl label with Not_found -> 0 in
-    Hashtbl.replace tbl label (prev + span)
+    let slots = t.dwell.(core) in
+    let i = state_index st in
+    slots.(i) <- slots.(i) + span
   end
+
+let rec fan_out ev = function
+  | [] -> ()
+  | f :: rest ->
+      f ev;
+      fan_out ev rest
 
 let transition t ~core ~cause to_ =
   check_core t core;
@@ -168,23 +187,41 @@ let transition t ~core ~cause to_ =
   t.transitions <- t.transitions + 1;
   let ev = { core; from_state = from; to_state = to_; cause; at; legal = is_legal }
   in
-  List.iter (fun f -> f ev) t.subscribers
+  fan_out ev t.subscribers
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 let transitions t = t.transitions
 let illegal_transitions t = t.illegal
 
+(* A representative state per slot, listed in label order: [dwell]'s
+   output is sorted by label and holds a label iff its dwell is > 0. *)
+let by_label =
+  List.sort
+    (fun a b -> String.compare (state_label a) (state_label b))
+    [
+      Offline;
+      Dp_running;
+      Dp_counting;
+      Dp_parked;
+      Vcpu_running 0;
+      Switching From_dp;
+      Cp_dedicated;
+    ]
+
 let dwell t ~core =
   check_core t core;
-  let tbl = Hashtbl.copy t.dwell.(core) in
+  let slots = Array.copy t.dwell.(core) in
   (* Fold the still-open span of the current state in. *)
-  let label = state_label t.states.(core) in
   let open_span = t.now () - t.since.(core) in
-  if open_span > 0 then
-    Hashtbl.replace tbl label
-      ((try Hashtbl.find tbl label with Not_found -> 0) + open_span);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  if open_span > 0 then begin
+    let i = state_index t.states.(core) in
+    slots.(i) <- slots.(i) + open_span
+  end;
+  List.filter_map
+    (fun st ->
+      let d = slots.(state_index st) in
+      if d > 0 then Some (state_label st, d) else None)
+    by_label
 
 let add_invariant t ~name f = t.invariants <- t.invariants @ [ (name, f) ]
 

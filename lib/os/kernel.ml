@@ -64,12 +64,14 @@ type t = {
   sim : Sim.t;
   machine : Machine.t;
   config : config;
-  cpus : (int, cpu) Hashtbl.t;
+  (* Indexed by cid; cids are dense in practice (physical cores, then the
+     vCPU kcpus above them). *)
+  mutable cpus : cpu option array;
+  mutable order : cpu array;  (* registration order, for the scans *)
   (* Remaining work of a preempted/paused Run, keyed by tid. Per kernel
      instance: two systems (or two domains) must never share run
      bookkeeping. *)
   pending : (int, Time_ns.t * Task.exec_mode) Hashtbl.t;
-  mutable cpu_order : int list;
   mutable work_available_hook : int -> unit;
   mutable cpu_idle_hook : int -> unit;
   mutable task_done_hook : Task.t -> unit;
@@ -97,9 +99,9 @@ let create ?(config = default_config) machine =
     sim = Machine.sim machine;
     machine;
     config;
-    cpus = Hashtbl.create 32;
+    cpus = [||];
     pending = Hashtbl.create 64;
-    cpu_order = [];
+    order = [||];
     work_available_hook = (fun _ -> ());
     cpu_idle_hook = (fun _ -> ());
     task_done_hook = (fun _ -> ());
@@ -122,9 +124,12 @@ let create ?(config = default_config) machine =
 let sim t = t.sim
 let machine t = t.machine
 let config t = t.config
-let cpu t id = Hashtbl.find t.cpus id
+let cpu t id =
+  if id < 0 || id >= Array.length t.cpus then raise Not_found
+  else match t.cpus.(id) with Some c -> c | None -> raise Not_found
+
 let cpu_id c = c.cid
-let cpu_ids t = t.cpu_order
+let cpu_ids t = Array.to_list (Array.map (fun c -> c.cid) t.order)
 let cpu_kind c = c.kind
 let is_online c = c.online
 let is_backed c = c.backed
@@ -153,6 +158,7 @@ let max_deferred_wait t = t.s_max_deferred_wait
 (* --- observability ------------------------------------------------------ *)
 
 let trace t = Machine.trace t.machine
+let tracing t = Trace.enabled (trace t)
 let count t h = Counters.incr_h (Machine.counters t.machine) h
 
 (* For trace attribution a kernel CPU maps to the physical core currently
@@ -204,6 +210,14 @@ let pause_run t c =
 
 (* --- forward-declared mutually recursive scheduler core ---------------- *)
 
+let admissible_on c task =
+  match task.Task.affinity with [] -> true | cids -> List.mem c.cid cids
+
+(* Whether [victim]'s queues hold a task admissible on [c]. *)
+let holds_admissible victim c =
+  let admits q = Queue.fold (fun acc x -> acc || admissible_on c x) false q in
+  admits victim.rq_rt || admits victim.rq_normal
+
 let rec dispatch t c =
   if c.online && c.backed && c.available && c.cur = None then begin
     (match c.idle_retry with Some h -> Sim.cancel t.sim h | None -> ());
@@ -249,69 +263,66 @@ and pick_next t c =
       | Some task -> Some task
       | None -> try_steal t c)
 
+(* Both idle-steal scans run on every idle dispatch and walk every CPU; a
+   CPU with empty queues is skipped before its queues are folded over. *)
 and steal_candidate_exists t c =
-  let admissible task =
-    task.Task.affinity = [] || List.mem c.cid task.Task.affinity
+  let order = t.order in
+  let rec scan i =
+    i < Array.length order
+    &&
+    let c' = order.(i) in
+    (c'.cid <> c.cid && runqueue_length c' > 0 && holds_admissible c' c)
+    || scan (i + 1)
   in
-  List.exists
-    (fun id ->
-      id <> c.cid
-      &&
-      let c' = Hashtbl.find t.cpus id in
-      Queue.fold (fun acc x -> acc || admissible x) false c'.rq_rt
-      || Queue.fold (fun acc x -> acc || admissible x) false c'.rq_normal)
-    t.cpu_order
+  scan 0
 
+(* The busiest other CPU holding a task admissible on [c]; the first in
+   registration order on ties. *)
 and try_steal t c =
-  let admissible task =
-    task.Task.affinity = [] || List.mem c.cid task.Task.affinity
-  in
-  let best = ref None in
-  List.iter
-    (fun id ->
-      if id <> c.cid then begin
-        let c' = Hashtbl.find t.cpus id in
-        let n = runqueue_length c' in
-        let has_admissible =
-          Queue.fold (fun acc x -> acc || admissible x) false c'.rq_rt
-          || Queue.fold (fun acc x -> acc || admissible x) false c'.rq_normal
-        in
-        if n > 0 && has_admissible then
-          match !best with
-          | Some (_, m) when m >= n -> ()
-          | Some _ | None -> best := Some (c', n)
-      end)
-    t.cpu_order;
-  match !best with
-  | None -> None
-  | Some (victim, _) ->
-      let steal_from q =
-        let stolen = ref None in
-        let keep = Queue.create () in
-        Queue.iter
-          (fun x ->
-            if !stolen = None && admissible x then stolen := Some x
-            else Queue.push x keep)
-          q;
-        Queue.clear q;
-        Queue.transfer keep q;
-        !stolen
-      in
-      let found =
-        match steal_from victim.rq_rt with
-        | Some x -> Some x
-        | None -> steal_from victim.rq_normal
-      in
-      (match found with
-      | Some task ->
-          t.s_steals <- t.s_steals + 1;
-          count t t.h_steals;
+  let order = t.order in
+  let best = ref (-1) and best_n = ref 0 in
+  for i = 0 to Array.length order - 1 do
+    let c' = order.(i) in
+    if c'.cid <> c.cid then begin
+      let n = runqueue_length c' in
+      if n > !best_n && holds_admissible c' c then begin
+        best := i;
+        best_n := n
+      end
+    end
+  done;
+  if !best < 0 then None
+  else
+    let victim = order.(!best) in
+    let admissible task = admissible_on c task in
+    let steal_from q =
+      let stolen = ref None in
+      let keep = Queue.create () in
+      Queue.iter
+        (fun x ->
+          if !stolen = None && admissible x then stolen := Some x
+          else Queue.push x keep)
+        q;
+      Queue.clear q;
+      Queue.transfer keep q;
+      !stolen
+    in
+    let found =
+      match steal_from victim.rq_rt with
+      | Some x -> Some x
+      | None -> steal_from victim.rq_normal
+    in
+    (match found with
+    | Some task ->
+        t.s_steals <- t.s_steals + 1;
+        count t t.h_steals;
+        if tracing t then
           Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
             ~category:Trace.Cat.kernel_steal "cpu=%d task=%s from=%d" c.cid
             task.Task.tname victim.cid;
-          task.Task.cpu <- Some c.cid
-      | None -> ());
-      found
+        task.Task.cpu <- Some c.cid
+    | None -> ());
+    found
 
 and arm_slice t c =
   (match c.slice_timer with Some h -> Sim.cancel t.sim h | None -> ());
@@ -492,8 +503,10 @@ and after_np_boundary t c task guard =
 and migrate_out t c task =
   t.s_migrations <- t.s_migrations + 1;
   count t t.h_migrations;
-  Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
-    ~category:Trace.Cat.kernel_migrate "cpu=%d task=%s" c.cid task.Task.tname;
+  if tracing t then
+    Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
+      ~category:Trace.Cat.kernel_migrate "cpu=%d task=%s" c.cid
+      task.Task.tname;
   pause_run t c;
   task.Task.state <- Task.Runnable;
   task.Task.cpu <- None;
@@ -526,8 +539,9 @@ and grant_reclaims t c =
   let waited = Sim.now t.sim - c.reclaim_requested_at in
   if waited > t.s_max_deferred_wait then t.s_max_deferred_wait <- waited;
   count t t.h_reclaims;
-  Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
-    ~category:Trace.Cat.kernel_reclaim "cpu=%d waited=%d" c.cid waited;
+  if tracing t then
+    Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
+      ~category:Trace.Cat.kernel_reclaim "cpu=%d waited=%d" c.cid waited;
   List.iter (fun cb -> cb ()) cbs
 
 and grant_lock t lock w =
@@ -537,7 +551,7 @@ and grant_lock t lock w =
   lock.Task.acquisitions <- lock.Task.acquisitions + 1;
   (match w.Task.cpu with
   | Some cid -> (
-      let wc = Hashtbl.find t.cpus cid in
+      let wc = cpu t cid in
       match wc.cur with
       | Some cur when cur == w ->
           stop_spin_accounting t wc;
@@ -562,19 +576,6 @@ and wake t ?src task =
   | Task.Runnable | Task.Running | Task.Spinning _ | Task.Dead -> ()
 
 and place_task t ?src task =
-  let allowed c =
-    c.online && (task.Task.affinity = [] || List.mem c.cid task.Task.affinity)
-  in
-  let candidates =
-    List.filter_map
-      (fun id ->
-        let c = Hashtbl.find t.cpus id in
-        if allowed c then Some c else None)
-      t.cpu_order
-  in
-  if candidates = [] then
-    failwith
-      (Printf.sprintf "Kernel: no online CPU admits task %s" task.Task.tname);
   let score c =
     (* Lower is better: idle backed available CPUs first, then idle
        available (unbacked vCPUs: enqueuing wakes the vCPU scheduler),
@@ -584,15 +585,24 @@ and place_task t ?src task =
     else if c.available then 2 + runqueue_length c
     else 1000 + runqueue_length c
   in
-  let best =
-    List.fold_left
-      (fun acc c ->
-        match acc with
-        | None -> Some c
-        | Some b -> if score c < score b then Some c else acc)
-      None candidates
-  in
-  let c = match best with Some c -> c | None -> assert false in
+  (* The lowest-scoring online CPU the task's affinity admits, the first
+     in registration order on ties. *)
+  let order = t.order in
+  let best = ref (-1) and best_score = ref max_int in
+  for i = 0 to Array.length order - 1 do
+    let c = order.(i) in
+    if c.online && admissible_on c task then begin
+      let s = score c in
+      if s < !best_score then begin
+        best := i;
+        best_score := s
+      end
+    end
+  done;
+  if !best < 0 then
+    failwith
+      (Printf.sprintf "Kernel: no online CPU admits task %s" task.Task.tname);
+  let c = order.(!best) in
   task.Task.cpu <- Some c.cid;
   (match task.Task.prio with
   | Task.Rt -> Queue.push task c.rq_rt
@@ -634,8 +644,13 @@ let register_cpu t c =
                (match c.on_online with Some f -> f () | None -> ());
                c.on_online <- None;
                dispatch t c)));
-  Hashtbl.replace t.cpus c.cid c;
-  t.cpu_order <- t.cpu_order @ [ c.cid ]
+  if c.cid >= Array.length t.cpus then begin
+    let grown = Array.make (max (c.cid + 1) (2 * Array.length t.cpus)) None in
+    Array.blit t.cpus 0 grown 0 (Array.length t.cpus);
+    t.cpus <- grown
+  end;
+  t.cpus.(c.cid) <- Some c;
+  t.order <- Array.append t.order [| c |]
 
 let make_cpu ~id ~kind ~online ~backed ~available ~backing_core =
   {

@@ -13,6 +13,7 @@ type t = {
   mutable exits : (Vmexit.t * int) list;
   mutable total_backed : Time_ns.t;
   mutable last_placed : Time_ns.t;
+  mutable in_runq : bool;
 }
 
 let create ~vid ~kcpu ~initial_slice =
@@ -27,6 +28,7 @@ let create ~vid ~kcpu ~initial_slice =
     exits = [];
     total_backed = 0;
     last_placed = 0;
+    in_runq = false;
   }
 
 let record_exit t reason =

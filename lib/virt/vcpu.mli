@@ -25,6 +25,9 @@ type t = {
   mutable exits : (Vmexit.t * int) list;  (** exit-reason histogram *)
   mutable total_backed : Time_ns.t;  (** cumulative backed time *)
   mutable last_placed : Time_ns.t;
+  mutable in_runq : bool;
+      (** queued in the scheduler's runnable queue; owned by the vCPU
+          scheduler *)
 }
 
 val create : vid:int -> kcpu:int -> initial_slice:Time_ns.t -> t

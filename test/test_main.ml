@@ -21,4 +21,5 @@ let () =
       ("platform", Test_platform.suite);
       ("sweep", Test_sweep.suite);
       ("extensions", Test_extensions.suite);
+      ("hotpath", Test_hotpath.suite);
     ]
