@@ -17,25 +17,21 @@ build:
 test: build
 	dune runtest
 
-# Fast end-to-end check for CI: full build + unit/property suites, then a
-# small traced bench run whose JSON export must parse and satisfy the
-# occupancy invariant (trace_lint exits non-zero otherwise), then a short
-# chaos run — the seeded fault matrix with the Core_state audit, the
-# hung-vCPU watchdog oracle and trace_lint as pass/fail gates — then the
-# overload storm, whose export additionally exercises trace_lint's ladder
-# checks (transition sequence, one rung at a time, minimum dwell), then
-# the multitenant grid, whose export exercises trace_lint's per-tenant
-# lane checks (registered — possibly sparse — ids, non-negative rows,
-# per-tenant sums equal to the globals), then the churn grid, whose
-# export exercises the frozen-lane rule (no overload transitions after a
-# tenant's retirement marker), then the fleet grid restricted to the
-# 8-NIC failover-on cells, whose per-NIC exports exercise trace_lint's
-# fleet checks (".nic<NN>" labels, recv-side cross-NIC causality,
-# non-negative fleet.* counters).
+# Fast end-to-end check for CI: full build + unit/property suites, then
+# short traced runs whose JSON exports must lint clean (trace_lint exits
+# non-zero otherwise): fig12, for the occupancy invariant; the seeded
+# chaos fault matrix, with the Core_state audit and the hung-vCPU
+# watchdog oracle; the overload storm, for the ladder checks (transition
+# sequence, one rung at a time, minimum dwell); the multitenant grid, for
+# the per-tenant lane checks (registered — possibly sparse — ids,
+# non-negative rows, per-tenant sums equal to the globals); the churn
+# grid, for the frozen-lane rule (no overload transitions after a
+# tenant's retirement marker); and the fleet grid restricted to the
+# 8-NIC failover-on cells, for the fleet checks (".nic<NN>" labels,
+# recv-side cross-NIC causality, non-negative fleet.* counters).
 smoke: test
-	BENCH_ONLY=fig12 BENCH_SCALE=0.05 BENCH_JOBS=$(JOBS) \
-		BENCH_TRACE_JSON=_build/smoke-trace.json \
-		dune exec bench/main.exe
+	dune exec bin/taichi_sim.exe -- fig12 --seed 42 --scale 0.05 \
+		--jobs $(JOBS) --trace-json _build/smoke-trace.json
 	dune exec bin/trace_lint.exe -- _build/smoke-trace.json
 	dune exec bin/taichi_sim.exe -- chaos --seed 42 --scale 0.1 \
 		--jobs $(JOBS) --trace-json _build/chaos-trace.json
@@ -82,22 +78,17 @@ golden: build
 golden-update: build
 	scripts/golden.sh update
 
-# Engine throughput trajectory: run the bench's engine sections (the
-# fig17-shaped hot-path replay against the seed binary-heap engine, the
-# full-work string-vs-handle hot path, the counter and packet-arena
-# microbenches, plus per-fig17-cell events/sec) and write the
-# schema-versioned, seed-stamped BENCH_ENGINE.json, then validate its
-# shape with bench_lint and hold it to the committed perf floors
-# (BENCH_FLOORS.json: minimum events/sec and speedups, zero allocation
-# per op on the handle/arena paths). Event counts and allocation rates
-# are deterministic for a given seed; only wall-clock fields vary run to
-# run. CI uploads the file as an artifact so the speedup is a tracked
-# trajectory rather than a number in a commit message.
+# Engine throughput trajectory: the bench's calendar-vs-seed-heap
+# hot-path replay, its full-work string-vs-handle replay and its per-op
+# microbench table, written as the seed-stamped BENCH_ENGINE.json (schema
+# taichi-bench-engine-v3). The bench checks its four timing floors itself
+# (minimum hot-path events/sec and three speedups) and exits non-zero if
+# one is missed. Event counts and minor words per op are deterministic
+# for a given seed; only wall-clock fields vary run to run. CI uploads the
+# file as an artifact so the speedups are a tracked trajectory.
 bench-json: build
-	BENCH_ONLY=none BENCH_SCALE=0.05 BENCH_SEED=$(SEED) \
-		BENCH_ENGINE_JSON=_build/BENCH_ENGINE.json \
+	BENCH_SEED=$(SEED) BENCH_ENGINE_JSON=_build/BENCH_ENGINE.json \
 		dune exec bench/main.exe
-	dune exec bin/bench_lint.exe -- _build/BENCH_ENGINE.json BENCH_FLOORS.json
 
 # Sampling profile of one experiment: `make profile EXP=table5 SCALE=0.02`
 # runs it at jobs=1 under a SIGPROF call-stack sampler and prints the top

@@ -165,17 +165,3 @@ let admit tbl s =
 let counter id suffix = Printf.sprintf "tenant.%d.%s" id suffix
 
 let counter_prefix = "tenant."
-
-(* Parse [tenant.<id>.<suffix>] back into its parts; [None] for any
-   counter outside the per-tenant namespace. *)
-let parse_counter name =
-  match String.length name with
-  | n when n > 7 && String.sub name 0 7 = counter_prefix -> (
-      match String.index_from_opt name 7 '.' with
-      | Some dot when dot > 7 && dot < n - 1 -> (
-          match int_of_string_opt (String.sub name 7 (dot - 7)) with
-          | Some id when id >= 0 ->
-              Some (id, String.sub name (dot + 1) (n - dot - 1))
-          | _ -> None)
-      | _ -> None)
-  | _ -> None

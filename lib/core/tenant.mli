@@ -115,8 +115,4 @@ val counter : int -> string -> string
     [tenant.<id>.<suffix>], mirroring the global counter [<suffix>]. *)
 
 val counter_prefix : string
-(** ["tenant."] — the namespace the lints scan for per-tenant rows. *)
-
-val parse_counter : string -> (int * string) option
-(** [parse_counter name] splits [tenant.<id>.<suffix>] into
-    [(id, suffix)]; [None] for names outside the namespace. *)
+(** ["tenant."] — the namespace every per-tenant counter name starts with. *)

@@ -5,8 +5,8 @@
    handle returned to the caller is a single immediate int packing the
    slot index (low bits) with the slot's generation word (high bits).
    Fire order is strict (time, seq), identical to the seed binary-heap
-   engine ({!Sim_legacy}), which the differential qcheck property in
-   the test suite enforces op-for-op.
+   engine ([Sim_legacy] in test/oracle), which the differential qcheck
+   property in the test suite enforces op-for-op.
 
    Slot lifecycle: allocated by [at], freed when its queue entry is
    dequeued or compacted away (single ownership by the queue entry).

@@ -10,8 +10,9 @@
     cancel / fire hot path allocates nothing: no closures, no per-event
     queue nodes, and handles are immediate ints (slot index packed with
     the slot generation). Fire order is bit-identical to the seed
-    binary-heap engine, which is kept as {!Sim_legacy} and enforced as a
-    differential oracle in the test suite. *)
+    binary-heap engine, which is kept outside the library as
+    [Sim_legacy] (test/oracle) and enforced as a differential oracle in
+    the test suite. *)
 
 type t
 (** A simulator instance. *)

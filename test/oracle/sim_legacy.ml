@@ -1,3 +1,5 @@
+open Taichi_engine
+
 type handle = {
   time : Time_ns.t;
   mutable state : [ `Pending | `Fired | `Cancelled ];

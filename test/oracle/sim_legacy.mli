@@ -1,14 +1,17 @@
 (** The seed binary-heap simulator, kept verbatim as the differential
-    oracle for {!Sim}.
+    oracle for {!Taichi_engine.Sim}.
 
-    This is the pre-calendar-queue engine: one {!Pheap} entry per event,
+    This is the pre-calendar-queue engine: one {!Taichi_engine.Pheap} entry per event,
     one handle record per event, tombstone cancellation with the same
-    compaction policy {!Sim} implements. It exists for two reasons: the
+    compaction policy {!Taichi_engine.Sim} implements. It exists for two reasons: the
     qcheck differential property in the test suite drives random timer
     programs through both engines and asserts identical fire order,
     clocks and counters; and the engine benchmark measures both on the
     same op mix so `BENCH_ENGINE.json` records the speedup on every run.
-    Production code must use {!Sim}. *)
+    It lives beside the tests, not in the library: production code uses
+    {!Taichi_engine.Sim}. *)
+
+open Taichi_engine
 
 type t
 (** A simulator instance. *)

@@ -232,9 +232,9 @@ end
    only the handle; adapt it to the shared ENGINE surface where handles
    are owner-relative ints. *)
 module Legacy_engine = struct
-  include Sim_legacy
+  include Taichi_oracle.Sim_legacy
 
-  let cancel _sim h = Sim_legacy.cancel h
+  let cancel _sim h = Taichi_oracle.Sim_legacy.cancel h
 end
 
 (* Interpret a random op list: schedule (delays spanning same-instant ties

@@ -273,7 +273,20 @@ let test_crash_during_drain_failover () =
     (fun r ->
       Alcotest.(check bool) "receipt names a crashed NIC" true
         (List.mem r.Fleet_run.from_nic rep.Fleet_run.r_crashed))
-    rep.Fleet_run.r_replaced
+    rep.Fleet_run.r_replaced;
+  (* The rack-wide books: RPC completions bounded by sends, loss counters
+     non-negative, attainment a fraction. *)
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rep.Fleet_run.r_nics in
+  let sent = sum (fun r -> r.Fleet_run.nr_rpc_sent) in
+  let completed = sum (fun r -> r.Fleet_run.nr_rpc_completed) in
+  Alcotest.(check bool) "RPCs were sent" true (sent >= 1);
+  Alcotest.(check bool) "RPC completed <= sent" true
+    (completed >= 0 && completed <= sent);
+  Alcotest.(check bool) "loss counters non-negative" true
+    (rep.Fleet_run.r_abandoned >= 0
+    && sum (fun r -> r.Fleet_run.nr_rpc_retries) >= 0);
+  Alcotest.(check bool) "attainment in [0, 1]" true
+    (rep.Fleet_run.r_attainment >= 0.0 && rep.Fleet_run.r_attainment <= 1.0)
 
 let suite =
   [

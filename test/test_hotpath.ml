@@ -1,5 +1,6 @@
 (* The placement-churn hot path: core-indexed tables must reproduce the
-   hash tables they replaced (visit order included), and a Table 5 Tai Chi
+   hash tables they replaced (visit order included), the per-event
+   counter and packet primitives must not allocate, and a Table 5 Tai Chi
    cell must stay under an allocation ceiling per engine event. *)
 
 open Taichi_engine
@@ -117,6 +118,58 @@ let prop_dwell_reference =
       && (now := !now + 7;
           agree ()))
 
+(* --- allocation-free primitives ----------------------------------------------- *)
+
+(* The per-event primitives allocate nothing once warm: counter handle
+   increments, tenant-lane increments, and an arena packet alloc+free.
+   Allocation is deterministic, so [Gc.minor_words] over [contract_ops]
+   calls is an exact contract; a hair above zero is tolerated for the
+   probe itself. *)
+let contract_ops = 100_000
+let contract_max_words_per_op = 0.01
+
+let minor_words_per_op f =
+  let w0 = Gc.minor_words () in
+  for i = 0 to contract_ops - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int contract_ops
+
+let test_alloc_free_primitives () =
+  let module Pk = Taichi_accel.Packet in
+  let c = Counters.create () in
+  let h = Counters.handle c "dp.packets_done" in
+  let l = Counters.lane c "dp.packets_done" in
+  (* Intern the lane rows first: the warm path is the one under contract. *)
+  for t = 0 to 3 do
+    Counters.lane_incr l t
+  done;
+  let arena = Pk.arena ~capacity:64 () in
+  (* Probe sanity: a heap descriptor must show up as allocation, or the
+     zeros below would prove nothing. *)
+  let create i =
+    ignore
+      (Sys.opaque_identity
+         (Pk.create ~kind:Pk.Net_rx ~size:64 ~dst_core:0 ~tag:i))
+  in
+  if minor_words_per_op create <= 0.0 then
+    Alcotest.fail "heap Packet.create allocated nothing: the probe is broken";
+  List.iter
+    (fun (name, f) ->
+      let words = minor_words_per_op f in
+      if words > contract_max_words_per_op then
+        Alcotest.failf "%s allocates %.4f minor words/op (max %.2f)" name
+          words contract_max_words_per_op)
+    [
+      ("Counters.incr_h", fun _ -> Counters.incr_h c h);
+      ("Counters.add_h", fun i -> Counters.add_h c h i);
+      ("Counters.lane_incr", fun i -> Counters.lane_incr l (i land 3));
+      ( "Packet.alloc+free",
+        fun i ->
+          Pk.free arena
+            (Pk.alloc arena ~kind:Pk.Net_rx ~size:64 ~dst_core:0 ~tag:i) );
+    ]
+
 (* --- allocation ceiling ------------------------------------------------------ *)
 
 (* A short Table 5 Tai Chi cell: the default Tai Chi policy under the
@@ -161,5 +214,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_placed_order;
     QCheck_alcotest.to_alcotest prop_placed_order_resized;
     QCheck_alcotest.to_alcotest prop_dwell_reference;
+    ("allocation-free primitives: counters, lanes, arena", `Quick,
+     test_alloc_free_primitives);
     ("allocation ceiling: table5 taichi cell", `Quick, test_alloc_ceiling);
   ]

@@ -13,7 +13,8 @@ open Taichi_hw
 open Taichi_platform
 
 (* Run a whole sweep under a buffered context: returns (output bytes,
-   export JSON bytes, failure) with nothing written to the real stdout.
+   export JSON bytes, failure, engine events) with nothing written to the
+   real stdout.
    A cross-cell oracle tripping at an off-default seed is part of the
    contract too — the sweep must re-raise the exact same failure at any
    job count, after the same output and harvest. *)
@@ -35,13 +36,20 @@ let run_buffered name ~seed ~jobs ~scale =
   in
   ( Run_ctx.buffered_contents ctx,
     Taichi_metrics.Export.to_string (Run_ctx.runs ctx),
-    failure )
+    failure,
+    Run_ctx.engine_events ctx )
 
 let check_equivalence name ~scale () =
   List.iter
     (fun seed ->
-      let out1, json1, fail1 = run_buffered name ~seed ~jobs:1 ~scale in
-      let out4, json4, fail4 = run_buffered name ~seed ~jobs:4 ~scale in
+      let out1, json1, fail1, (scheduled, processed) =
+        run_buffered name ~seed ~jobs:1 ~scale
+      in
+      let out4, json4, fail4, _ = run_buffered name ~seed ~jobs:4 ~scale in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s seed %d: 0 < events fired <= scheduled" name seed)
+        true
+        (processed > 0 && processed <= scheduled);
       Alcotest.(check string)
         (Printf.sprintf "%s seed %d: stdout jobs=1 vs jobs=4" name seed)
         out1 out4;

@@ -82,15 +82,11 @@ let test_tenant_lifecycle () =
   checki "re-admission gets a fresh id" 3 t2.Tenant.id;
   checkb "old row keeps its id" true (Tenant.phase tbl 2 = Tenant.Retired)
 
-let test_counter_roundtrip () =
+let test_counter_naming () =
   let name = Tenant.counter 3 "overload.shed.deferrable" in
   Alcotest.(check string) "name" "tenant.3.overload.shed.deferrable" name;
-  (match Tenant.parse_counter name with
-  | Some (3, "overload.shed.deferrable") -> ()
-  | _ -> Alcotest.fail "parse_counter failed to round-trip");
-  checkb "non-tenant name ignored" true
-    (Tenant.parse_counter "sched.placements" = None);
-  checkb "malformed id ignored" true (Tenant.parse_counter "tenant.x.foo" = None)
+  checkb "name is in the per-tenant namespace" true
+    (String.starts_with ~prefix:Tenant.counter_prefix name)
 
 (* --- Wsched: drive loop -------------------------------------------------- *)
 
@@ -392,6 +388,75 @@ let traced_multi_run ~seed =
     ~counters:(Counters.dump (Machine.counters machine))
     (Machine.trace machine)
 
+(* A live admit/retire under load: a dynamic tenant is admitted 5 ms in,
+   given CP work, and retired 10 ms later. The drain must complete, the
+   pools must be whole again, and the retired tenant's frozen lane must
+   keep its [tenant.<id>.*] rows in the counter dump — retired lanes
+   freeze, they do not disappear. *)
+let test_live_retire_keeps_lane () =
+  let open Taichi_hw in
+  let open Taichi_platform in
+  let config =
+    Config.with_churn
+      (Config.with_tenants
+         (Config.no_hw_probe Config.default)
+         [ Tenant.spec ~weight:3 "alpha"; Tenant.spec "bravo" ])
+  in
+  let sys = System.create ~seed:42 (Policy.Taichi config) in
+  System.warmup sys;
+  let sim = System.sim sys in
+  Exp_common.start_bg_dp sys ~target:0.25 ~until:(Sim.now sim + Time_ns.ms 40);
+  let lc = Option.get (System.lifecycle sys) in
+  let retired = ref [] in
+  ignore
+    (Sim.after sim (Time_ns.ms 5) (fun () ->
+         match Lifecycle.admit lc (Tenant.spec ~weight:2 "dyn-0") with
+         | Error _ -> Alcotest.fail "dyn-0 admission refused"
+         | Ok id ->
+             let rng = Rng.split (System.rng sys) "test-churn-dyn" in
+             let params =
+               {
+                 Taichi_controlplane.Synth_cp.default_params with
+                 Taichi_controlplane.Synth_cp.total_work = Time_ns.ms 1;
+                 phases = 3;
+               }
+             in
+             Taichi_controlplane.Synth_cp.make_batch ~tenant:id ~rng ~params
+               ~locks:[] ~affinity:[] ~count:2 ()
+             |> List.iter (fun task -> System.spawn_cp ~tenant:id sys task);
+             ignore
+               (Sim.after sim (Time_ns.ms 10) (fun () ->
+                    retired := id :: !retired;
+                    Lifecycle.retire lc ~tenant:id))));
+  System.advance sys (Time_ns.ms 50);
+  let counters = Machine.counters (System.machine sys) in
+  let get = Counters.get counters in
+  checki "one admission" 1 (get "churn.admitted");
+  checki "one retirement" 1 (get "churn.retired");
+  checkb "forced drains bounded by retirements" true
+    (get "churn.drain_forced" <= get "churn.retired");
+  checki "vCPU pool whole" Lifecycle.spare_vcpus (Lifecycle.pool_size lc);
+  checki "floating services whole" Lifecycle.float_services
+    (Lifecycle.free_services lc);
+  let sched = Taichi.scheduler (Option.get (System.taichi sys)) in
+  List.iter
+    (fun tid ->
+      checkb "granted time non-negative" true
+        (Vcpu_sched.granted_ns sched ~tenant:tid >= 0))
+    (Tenant.ids (System.tenants sys));
+  let dump = Counters.dump counters in
+  List.iter
+    (fun id ->
+      checkb
+        (Printf.sprintf "retired tenant %d keeps its counter rows" id)
+        true
+        (List.exists
+           (fun (name, _) ->
+             String.starts_with ~prefix:(Tenant.counter id "") name)
+           dump))
+    !retired;
+  checki "the retirement happened" 1 (List.length !retired)
+
 let validate runs =
   Taichi_metrics.Export.validate_string
     (Taichi_metrics.Export.to_string runs)
@@ -403,7 +468,7 @@ let test_multi_export_validates () =
      checks below are vacuous. *)
   checkb "per-tenant counters present" true
     (List.exists
-       (fun (name, _) -> Tenant.parse_counter name <> None)
+       (fun (name, _) -> String.starts_with ~prefix:Tenant.counter_prefix name)
        run.Export.counters);
   checkb "tenants field populated" true (run.Export.tenants = [ 0; 1 ]);
   match validate [ run ] with
@@ -481,7 +546,7 @@ let suite =
     ("tenant spec validation", `Quick, test_tenant_spec_validation);
     ("wsched create validation", `Quick, test_wsched_create_validation);
     ("tenant lifecycle", `Quick, test_tenant_lifecycle);
-    ("tenant counter round-trip", `Quick, test_counter_roundtrip);
+    ("tenant counter naming", `Quick, test_counter_naming);
     QCheck_alcotest.to_alcotest prop_weighted_shares;
     QCheck_alcotest.to_alcotest prop_work_conservation;
     QCheck_alcotest.to_alcotest prop_starvation_freedom;
@@ -495,4 +560,6 @@ let suite =
     ("tampered per-tenant export rejected", `Slow,
       test_multi_export_tamper_detected);
     ("retired lane stays frozen in exports", `Slow, test_frozen_lane_export);
+    ("live retire keeps the frozen lane's rows", `Slow,
+     test_live_retire_keeps_lane);
   ]
