@@ -4,7 +4,9 @@
     derived from a single root seed, so adding a component never perturbs
     the draws seen by the others and every experiment is reproducible
     bit-for-bit from its seed. The core generator is xoshiro256++ seeded by
-    splitmix64. *)
+    splitmix64, its state kept unboxed: {!int}, {!int_range}, {!bool} and
+    {!bernoulli} allocate nothing, {!float} allocates only its result box
+    and {!bits64} only its [int64] box. *)
 
 type t
 (** A generator state. *)
@@ -14,8 +16,11 @@ val create : seed:int -> t
 
 val split : t -> string -> t
 (** [split rng name] derives an independent stream identified by [name].
-    The derivation depends only on the parent's seed material and [name],
-    not on how many values the parent has produced. *)
+    The child's seed material is [name] mixed with the parent's {e
+    current} state: splitting does not advance the parent, but the same
+    name split before and after a parent draw gives different streams.
+    Derive every named stream from a root that is only split, never drawn
+    from, when the streams must not depend on draw order. *)
 
 val bits64 : t -> int64
 (** [bits64 rng] is the next raw 64-bit output. *)

@@ -9,10 +9,19 @@
    Payloads are bare ints (pool slots owned by {!Sim}); inside a bucket
    an entry is a packed key int — (time - bucket_start) above bit 53,
    the insertion sequence number in the low 53 bits — so same-bucket
-   ordering is one integer comparison and pushes allocate nothing. Key
+   ordering is one integer comparison and a push allocates only when its
+   bucket must grow or no spare array is left (see below). Key
    and payload sit adjacent in one stride-2 array (entry j is
    [buf.(2j), buf.(2j+1)]): a sift touches half the cache lines the
    parallel-arrays layout would.
+
+   Bucket arrays are recycled: when a bucket empties (its last entry
+   popped, the bucket drained, or compaction leaving nothing) its array
+   goes onto a spare stack and the slot reverts to the shared empty
+   array; a bucket's next first push takes an array from that stack and
+   only falls back to [Array.make] when the stack is empty. The wheel
+   therefore holds memory in proportion to the buckets that are nonempty
+   at the same time, not to every bucket a long run ever touched.
 
    Determinism contract: entries dequeue in strict (time, seq) order,
    identical to a global (key, seq) binary heap. The wheel cannot
@@ -51,6 +60,8 @@ type t = {
   mutable cursor : int; (* no nonempty bucket lies below this *)
   mutable wheel_count : int;
   mutable next_in_wheel : bool; (* where find_next located the minimum *)
+  mutable spare : int array array; (* stack of emptied buckets' arrays *)
+  mutable spare_len : int;
   overflow : int Pheap.t;
 }
 
@@ -64,6 +75,8 @@ let create () =
     cursor = 0;
     wheel_count = 0;
     next_in_wheel = true;
+    spare = [||];
+    spare_len = 0;
     overflow = Pheap.create ();
   }
 
@@ -161,15 +174,47 @@ let bucket_sift_down buf len start =
     else continue := false
   done
 
+(* --- bucket array recycling ---------------------------------------------- *)
+
+(* Bucket [s] just became empty: clear its bitmap bit and park its array
+   on the spare stack. *)
+let release t s =
+  mark_empty t s;
+  let buf = t.bufs.(s) in
+  t.bufs.(s) <- [||];
+  if t.spare_len = Array.length t.spare then begin
+    let ns = Array.make (max 16 (2 * t.spare_len)) [||] in
+    Array.blit t.spare 0 ns 0 t.spare_len;
+    t.spare <- ns
+  end;
+  t.spare.(t.spare_len) <- buf;
+  t.spare_len <- t.spare_len + 1
+
+(* An array for an empty bucket's first entry: a spare if there is one. *)
+let take t =
+  if t.spare_len = 0 then Array.make 16 0
+  else begin
+    let n = t.spare_len - 1 in
+    t.spare_len <- n;
+    let buf = t.spare.(n) in
+    t.spare.(n) <- [||];
+    buf
+  end
+
 let wheel_push t b ~time ~seq slot =
   let s = b land bucket_mask in
   let len = t.blen.(s) in
   let buf =
     let buf = t.bufs.(s) in
     if 2 * len = Array.length buf then begin
-      let ncap = if len = 0 then 16 else 4 * len in
-      let nb = Array.make ncap 0 in
-      Array.blit buf 0 nb 0 (2 * len);
+      let nb =
+        if len = 0 then take t
+        else begin
+          let nb = Array.make (4 * len) 0 in
+          Array.blit buf 0 nb 0 (2 * len);
+          nb
+        end
+      in
       t.bufs.(s) <- nb;
       nb
     end
@@ -261,7 +306,7 @@ let drop_next t =
       buf.(1) <- buf.((2 * len) + 1);
       bucket_sift_down buf len 0
     end
-    else mark_empty t s;
+    else release t s;
     t.wheel_count <- t.wheel_count - 1
   end
   else Pheap.drop t.overflow
@@ -288,7 +333,7 @@ let drain_bucket t dst =
   let len = t.blen.(s) in
   Array.blit t.bufs.(s) 0 dst 0 (2 * len);
   t.blen.(s) <- 0;
-  mark_empty t s;
+  release t s;
   t.wheel_count <- t.wheel_count - len;
   len
 
@@ -309,11 +354,12 @@ let compact t ~keep =
       done;
       t.wheel_count <- t.wheel_count - (len - !j);
       t.blen.(s) <- !j;
-      if !j = 0 then mark_empty t s;
-      (* Floyd heapify restores the per-bucket invariant in O(len). *)
-      for i = (!j / 2) - 1 downto 0 do
-        bucket_sift_down buf !j i
-      done
+      if !j = 0 then release t s
+      else
+        (* Floyd heapify restores the per-bucket invariant in O(len). *)
+        for i = (!j / 2) - 1 downto 0 do
+          bucket_sift_down buf !j i
+        done
     end
   done;
   Pheap.compact t.overflow ~keep

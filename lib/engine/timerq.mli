@@ -1,14 +1,17 @@
-(** Calendar timer queue: a 4096-bucket, 512 ns-wide timing wheel with
-    the binary heap ({!Pheap}) as an overflow tier for timers beyond the
-    ~2.1 ms horizon.
+(** Calendar timer queue: a timing wheel of 2^16 buckets, each 32 ns
+    wide, with the binary heap ({!Pheap}) as an overflow tier for timers
+    beyond the ~2.1 ms horizon.
 
     Payloads are bare ints (the {!Sim} event pool's slot indices); keys
     are (time, seq) pairs and entries dequeue in strict lexicographic
     (time, seq) order — exactly the order a global binary heap keyed the
     same way would produce, which is what keeps every experiment
     byte-identical to the seed engine. Within a bucket, (offset, seq) is
-    packed into one int, so the hot push/pop path allocates nothing and
-    compares single integers.
+    packed into one int, so the hot push/pop path compares single
+    integers. A bucket's array is recycled through a spare stack when the
+    bucket empties, so the queue's memory follows the number of buckets
+    nonempty at once, and a push allocates only when its bucket must grow
+    or no spare array is left.
 
     The queue does not track its owner's clock; the owner must call
     {!advance} whenever its clock moves forward so the wheel can rotate

@@ -208,6 +208,55 @@ let test_sim_tombstone_compaction () =
   checkb "fired in schedule order" true
     (fired = List.init 1000 (fun k -> k * 10))
 
+(* --- Timerq memory --------------------------------------------------------- *)
+
+(* A moving clock with 8 pending timers sweeps every ring slot of the
+   wheel four times over (~84k pops, each timer re-armed 400-1200 ns
+   ahead; a head bucket holding two or more entries is drained whole and
+   re-armed), then a compaction drops the odd payloads. The wheel must
+   hold memory for the buckets nonempty at the same time, not for every
+   bucket it ever used: the queue's reachable size ends within a small
+   constant of its size at creation. *)
+let test_timerq_memory_bounded () =
+  let q = Timerq.create () in
+  let words0 = Obj.reachable_words (Obj.repr q) in
+  let seq = ref 0 in
+  let arm time =
+    Timerq.push q ~time ~seq:!seq !seq;
+    incr seq
+  in
+  let rearm now = arm (now + 400 + (!seq * 7919 mod 800)) in
+  for k = 0 to 7 do
+    arm (k * 100)
+  done;
+  let horizon = 4 * 65536 * 32 in
+  let scratch = Array.make 64 0 in
+  let pops = ref 0 in
+  while Timerq.find_next q && Timerq.next_time q < horizon do
+    let now = Timerq.next_time q in
+    if Timerq.head_in_wheel q && Timerq.head_bucket_len q >= 2 then begin
+      let n = Timerq.drain_bucket q scratch in
+      Timerq.advance q ~now;
+      for _ = 1 to n do
+        rearm now
+      done;
+      pops := !pops + n
+    end
+    else begin
+      Timerq.drop_next q;
+      Timerq.advance q ~now;
+      rearm now;
+      incr pops
+    end
+  done;
+  checkb "swept ~84k pops" true (!pops > 80_000);
+  checki "8 timers pending" 8 (Timerq.length q);
+  Timerq.compact q ~keep:(fun slot -> slot land 1 = 0);
+  let words = Obj.reachable_words (Obj.repr q) in
+  if words > words0 + 1_000 then
+    Alcotest.failf "queue holds %d words after the sweep (%d at creation)"
+      words words0
+
 (* --- Sim vs. the seed engine (differential oracle) ------------------------- *)
 
 (* Both engines expose the same timer-program surface; the calendar-queue
@@ -307,7 +356,14 @@ let prop_sim_differential_ties =
    same observable instant the heap engine drops them), and chunked
    [run ~until] stops that land mid-batch (the remainder must survive to
    the next run). All of it must be observationally identical to the
-   seed heap engine, counters included. *)
+   seed heap engine, counters included.
+
+   Every program starts with a release drill, and op 4 repeats it at a
+   random point: a wheel bucket empties through each of the three ways
+   the calendar queue recycles its array (a lone entry popped, a dense
+   bucket drained into a batch, every entry of a bucket cancelled into a
+   compaction — guaranteed at the start, where nothing else is live),
+   and the events after it refill buckets from the recycled arrays. *)
 let run_batched_program (module E : ENGINE) ops =
   let sim = E.create () in
   let log = ref [] in
@@ -316,6 +372,25 @@ let run_batched_program (module E : ENGINE) ops =
   let add h =
     handles := h :: !handles;
     incr nh
+  in
+  let fire tag ~delay =
+    add
+      (E.at sim (E.now sim + delay) (fun () -> log := (tag, E.now sim) :: !log))
+  in
+  let drill tag =
+    fire tag ~delay:10;
+    E.run ~until:(E.now sim + 20) sim;
+    for i = 1 to 8 do
+      fire (tag + i) ~delay:10
+    done;
+    E.run ~until:(E.now sim + 20) sim;
+    for i = 0 to 79 do
+      fire (tag + 100 + i) ~delay:(100 + i)
+    done;
+    List.iteri (fun j h -> if j < 80 then E.cancel sim h) !handles;
+    for i = 0 to 9 do
+      fire (tag + 200 + i) ~delay:(i * 13)
+    done
   in
   let schedule k ~delay ~act ~arg =
     add
@@ -334,11 +409,13 @@ let run_batched_program (module E : ENGINE) ops =
            | 2 -> if !nh > 0 then E.cancel sim (List.nth !handles (arg mod !nh))
            | _ -> ()))
   in
+  drill 20_000;
   List.iteri
     (fun k (op, a, b) ->
       match op with
       | 0 | 1 | 2 -> schedule k ~delay:(a mod 1200) ~act:op ~arg:b
-      | _ -> E.run ~until:(E.now sim + (a mod 700)) sim)
+      | 3 -> E.run ~until:(E.now sim + (a mod 700)) sim
+      | _ -> drill (30_000 + (1000 * k)))
     ops;
   E.run sim;
   ( List.rev !log,
@@ -354,7 +431,7 @@ let prop_sim_differential_batched =
     ~name:"calendar engine == seed engine under batched dispatch" ~count:150
     QCheck.(
       list_of_size (Gen.int_range 0 200)
-        (triple (int_bound 3) (int_bound 4999) small_int))
+        (triple (int_bound 4) (int_bound 4999) small_int))
     (fun ops ->
       run_batched_program (module Sim) ops
       = run_batched_program (module Legacy_engine) ops)
@@ -542,6 +619,46 @@ let test_rng_split_stable () =
   let r2 = Rng.create ~seed:9 in
   let b = Rng.split r2 "y" in
   Alcotest.(check int64) "stable derivation" (Rng.bits64 a) (Rng.bits64 b)
+
+(* Known answers pin the stream itself: every experiment's output (and so
+   every golden digest) is a function of these values, so a change to the
+   generator, its seeding, the split derivation or the derived samplers
+   must show up here before it shows up as a digest mismatch. *)
+let test_rng_known_answers () =
+  let draws n f = Array.to_list (Array.init n (fun _ -> f ())) in
+  let check64 msg expected got =
+    Alcotest.(check (list int64)) msg expected got
+  in
+  let r = Rng.create ~seed:42 in
+  check64 "seed 42"
+    [ -3425465463722317665L; 5881210131331364753L; -297100157724070516L ]
+    (draws 3 (fun () -> Rng.bits64 r));
+  let root = Rng.create ~seed:42 in
+  let ping = Rng.split root "ping" in
+  check64 "split ping"
+    [ -6446762947813202223L; -9114092768097651630L ]
+    (draws 2 (fun () -> Rng.bits64 ping));
+  (* The child depends on the parent's current state: one parent draw
+     first gives a different "ping" stream. *)
+  ignore (Rng.bits64 root);
+  check64 "split ping after one parent draw" [ -3215875113625736794L ]
+    [ Rng.bits64 (Rng.split root "ping") ];
+  let r = Rng.create ~seed:7 in
+  Alcotest.(check (list int)) "int 1000" [ 415; 229; 44; 839 ]
+    (draws 4 (fun () -> Rng.int r 1000));
+  Alcotest.(check (list int)) "int max_int"
+    [ 4444095143584088285; 2147679191939199266 ]
+    (draws 2 (fun () -> Rng.int r max_int));
+  Alcotest.(check (list (float 0.0))) "float 1.0"
+    [ 0x1.72a3f366c43d4p-1; 0x1.51c16d6b70078p-2 ]
+    (draws 2 (fun () -> Rng.float r 1.0));
+  Alcotest.(check (list bool)) "bool"
+    [ true; true; true; false; true; true ]
+    (draws 6 (fun () -> Rng.bool r));
+  Alcotest.(check (list int)) "int_range" [ 2; -4 ]
+    (draws 2 (fun () -> Rng.int_range r ~lo:(-5) ~hi:5));
+  check64 "stream position after derived draws" [ 3003385859452134885L ]
+    [ Rng.bits64 r ]
 
 let prop_rng_int_range =
   QCheck.Test.make ~name:"Rng.int in range" ~count:500
@@ -801,11 +918,14 @@ let suite =
     ("sim immediate ordering", `Quick, test_sim_immediate);
     ("sim counters", `Quick, test_sim_counters);
     ("sim tombstone compaction", `Quick, test_sim_tombstone_compaction);
+    ("timerq memory bounded by pending timers", `Quick,
+     test_timerq_memory_bounded);
     ("heap clear then push", `Quick, test_heap_clear_then_push);
     ("bucket layout saturation", `Quick, test_bucket_saturation);
     ("rng determinism", `Quick, test_rng_deterministic);
     ("rng split independence", `Quick, test_rng_split_independent);
     ("rng split stability", `Quick, test_rng_split_stable);
+    ("rng known answers", `Quick, test_rng_known_answers);
     ("rng bernoulli extremes", `Quick, test_rng_bernoulli_extremes);
     ("dist exponential mean", `Quick, test_dist_exponential_mean);
     ("dist normal moments", `Quick, test_dist_normal_moments);

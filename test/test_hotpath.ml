@@ -121,10 +121,13 @@ let prop_dwell_reference =
 (* --- allocation-free primitives ----------------------------------------------- *)
 
 (* The per-event primitives allocate nothing once warm: counter handle
-   increments, tenant-lane increments, and an arena packet alloc+free.
+   increments, tenant-lane increments, an arena packet alloc+free, the
+   integer, boolean and Bernoulli RNG draws and a recorder observation.
    Allocation is deterministic, so [Gc.minor_words] over [contract_ops]
    calls is an exact contract; a hair above zero is tolerated for the
-   probe itself. *)
+   probe itself.
+   The two RNG draws that return a boxed value have ceilings of their
+   own: a float box (2 words) and an int64 box (3 words). *)
 let contract_ops = 100_000
 let contract_max_words_per_op = 0.01
 
@@ -145,6 +148,8 @@ let test_alloc_free_primitives () =
     Counters.lane_incr l t
   done;
   let arena = Pk.arena ~capacity:64 () in
+  let rng = Rng.create ~seed:42 in
+  let recorder = Recorder.create "alloc.observe" in
   (* Probe sanity: a heap descriptor must show up as allocation, or the
      zeros below would prove nothing. *)
   let create i =
@@ -155,19 +160,44 @@ let test_alloc_free_primitives () =
   if minor_words_per_op create <= 0.0 then
     Alcotest.fail "heap Packet.create allocated nothing: the probe is broken";
   List.iter
-    (fun (name, f) ->
+    (fun (name, max_words, f) ->
       let words = minor_words_per_op f in
-      if words > contract_max_words_per_op then
+      if words > max_words then
         Alcotest.failf "%s allocates %.4f minor words/op (max %.2f)" name
-          words contract_max_words_per_op)
+          words max_words)
     [
-      ("Counters.incr_h", fun _ -> Counters.incr_h c h);
-      ("Counters.add_h", fun i -> Counters.add_h c h i);
-      ("Counters.lane_incr", fun i -> Counters.lane_incr l (i land 3));
+      ( "Counters.incr_h",
+        contract_max_words_per_op,
+        fun _ -> Counters.incr_h c h );
+      ( "Counters.add_h",
+        contract_max_words_per_op,
+        fun i -> Counters.add_h c h i );
+      ( "Counters.lane_incr",
+        contract_max_words_per_op,
+        fun i -> Counters.lane_incr l (i land 3) );
       ( "Packet.alloc+free",
+        contract_max_words_per_op,
         fun i ->
           Pk.free arena
             (Pk.alloc arena ~kind:Pk.Net_rx ~size:64 ~dst_core:0 ~tag:i) );
+      ( "Rng.int",
+        contract_max_words_per_op,
+        fun i -> ignore (Sys.opaque_identity (Rng.int rng (1 + i))) );
+      ( "Rng.bool",
+        contract_max_words_per_op,
+        fun _ -> ignore (Sys.opaque_identity (Rng.bool rng)) );
+      ( "Rng.bernoulli",
+        contract_max_words_per_op,
+        fun _ -> ignore (Sys.opaque_identity (Rng.bernoulli rng ~p:0.5)) );
+      ( "Recorder.observe",
+        contract_max_words_per_op,
+        fun i -> Recorder.observe recorder (i land 4095) );
+      ( "Rng.float",
+        2.0,
+        fun _ -> ignore (Sys.opaque_identity (Rng.float rng 1.0)) );
+      ( "Rng.bits64",
+        3.0,
+        fun _ -> ignore (Sys.opaque_identity (Rng.bits64 rng)) );
     ]
 
 (* --- allocation ceiling ------------------------------------------------------ *)
@@ -176,10 +206,11 @@ let test_alloc_free_primitives () =
    table's CP churn (background monitors plus a 5 ms spinlocked task
    every 1 ms), 100 pings 2 ms apart on the first networking core, seed
    42. Allocation is deterministic, so the words allocated per engine
-   event (setup included) are a fixed number for this code: 35.9 over
-   168,037 events. The ceiling catches a regression back towards the
-   hashing and eager trace formatting this path used to do: the same cell
-   allocated 153.5 words per event before the core-indexed tables. *)
+   event (setup included) are a fixed number for this code: 29.2 over
+   168,037 events (35.9 with the boxed RNG state). The ceiling catches a
+   regression back towards the hashing and eager trace formatting this
+   path used to do: the same cell allocated 153.5 words per event before
+   the core-indexed tables. *)
 let minor_words_ceiling = 60.0
 
 let test_alloc_ceiling () =
