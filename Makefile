@@ -43,11 +43,11 @@ smoke: test
 		--jobs $(JOBS) --trace-json _build/multitenant-trace.json
 	dune exec bin/trace_lint.exe -- _build/multitenant-trace.json
 	dune exec bin/taichi_sim.exe -- churn --seed 42 --scale 0.25 \
-		--jobs $(JOBS) --churn-profile steady \
+		--jobs $(JOBS) --cells 'steady-*' \
 		--trace-json _build/churn-trace.json
 	dune exec bin/trace_lint.exe -- _build/churn-trace.json
 	dune exec bin/taichi_sim.exe -- fleet --seed 42 --scale 0.25 \
-		--jobs $(JOBS) --nics 8 --failover on \
+		--jobs $(JOBS) --cells '*n8-*fo_on' \
 		--trace-json _build/fleet-trace.json
 	dune exec bin/trace_lint.exe -- _build/fleet-trace.json
 

@@ -50,69 +50,15 @@ let trace_json_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace-json" ] ~docv:"FILE" ~doc)
 
-let chaos_profile_arg =
+let cells_arg =
   let doc =
-    "Restrict the chaos experiment to one fault profile ("
-    ^ String.concat ", "
-        (List.map fst Taichi_faults.Injector.profiles)
-    ^ "). Defaults to the full matrix (or $(b,CHAOS_PROFILE))."
+    "Run only the cells whose key matches one of the comma-separated \
+     $(docv), where $(b,*) matches any substring: $(b,storm-*), \
+     $(b,*-on), $(b,*n8-*fo_on). A pattern set that matches no cell \
+     exits 1 and lists the experiment's cell keys. Not allowed with \
+     $(b,all)."
   in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chaos-profile" ] ~docv:"PROFILE" ~doc)
-
-let overload_governor_arg =
-  let doc =
-    "Restrict the overload experiment to one governor setting ($(b,on) or \
-     $(b,off)). Defaults to both (or $(b,OVERLOAD_GOVERNOR))."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "overload" ] ~docv:"GOVERNOR" ~doc)
-
-let aggressor_arg =
-  let doc =
-    "Restrict the multitenant experiment to the aggressor ($(b,on): CP \
-     storm / DP burst cells) or contention-only ($(b,off): saturation / \
-     idle cells) half of the grid. Defaults to both (or \
-     $(b,MULTITENANT_AGGRESSOR))."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "aggressor" ] ~docv:"AGGRESSOR" ~doc)
-
-let churn_profile_arg =
-  let doc =
-    "Restrict the churn experiment to one churn profile ($(b,steady): \
-     arrival waves and forced departure, $(b,flap): thrash / refusal / \
-     determinism repeat, $(b,chaos): chaos-under-churn). Defaults to the \
-     full grid (or $(b,CHURN_PROFILE))."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "churn-profile" ] ~docv:"PROFILE" ~doc)
-
-let nics_arg =
-  let doc =
-    "Restrict the fleet experiment to the cells whose rack is $(docv) \
-     NICs wide (8 or 16; the determinism repeat rides with the 8-NIC \
-     cells). Defaults to every width (or $(b,FLEET_NICS))."
-  in
-  Arg.(value & opt (some int) None & info [ "nics" ] ~docv:"N" ~doc)
-
-let failover_arg =
-  let doc =
-    "Restrict the fleet experiment to one failover setting ($(b,on) or \
-     $(b,off)). Defaults to both (or $(b,FLEET_FAILOVER))."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "failover" ] ~docv:"FAILOVER" ~doc)
+  Arg.(value & opt (some string) None & info [ "cells" ] ~docv:"PATTERNS" ~doc)
 
 let list_experiments () =
   Printf.printf "%-11s %5s  %s\n" "name" "cells" "description";
@@ -150,44 +96,7 @@ let report_audit_failures failures =
   Printf.eprintf "%d run(s) failed the post-experiment audit\n"
     (List.length failures)
 
-(* The CI matrix narrows chaos/overload through the environment; an
-   explicit flag wins over it. Both become plain cell filters on the
-   relevant descriptor — no module state anywhere. *)
-let filter_for ~chaos_profile ~overload_governor ~aggressor ~churn_profile
-    ~fleet_nics ~fleet_failover desc =
-  match P.Exp_desc.name desc with
-  | "chaos" -> (
-      match chaos_profile with
-      | Some p -> P.Exp_chaos.profile_filter p
-      | None -> fun _ -> true)
-  | "overload" -> (
-      match overload_governor with
-      | Some g -> P.Exp_overload.governor_filter g
-      | None -> fun _ -> true)
-  | "multitenant" -> (
-      match aggressor with
-      | Some a -> P.Exp_multitenant.aggressor_filter a
-      | None -> fun _ -> true)
-  | "churn" -> (
-      match churn_profile with
-      | Some p -> P.Exp_churn.profile_filter p
-      | None -> fun _ -> true)
-  | "fleet" ->
-      let by_nics =
-        match fleet_nics with
-        | Some n -> P.Exp_fleet.nics_filter n
-        | None -> fun _ -> true
-      in
-      let by_failover =
-        match fleet_failover with
-        | Some s -> P.Exp_fleet.failover_filter s
-        | None -> fun _ -> true
-      in
-      fun cell -> by_nics cell && by_failover cell
-  | _ -> fun _ -> true
-
-let run name seed scale jobs list trace trace_json chaos_profile
-    overload_governor aggressor churn_profile fleet_nics fleet_failover =
+let run name seed scale jobs list trace trace_json cells =
   if list then begin
     list_experiments ();
     0
@@ -197,45 +106,10 @@ let run name seed scale jobs list trace trace_json chaos_profile
     | None ->
         Printf.eprintf "missing EXPERIMENT (try --list)\n";
         1
+    | Some "all" when cells <> None ->
+        Printf.eprintf "--cells selects within one experiment, not 'all'\n";
+        1
     | Some name -> (
-        let chaos_profile =
-          match chaos_profile with
-          | Some _ as p -> p
-          | None -> Sys.getenv_opt "CHAOS_PROFILE"
-        in
-        let overload_governor =
-          match overload_governor with
-          | Some _ as g -> g
-          | None -> Sys.getenv_opt "OVERLOAD_GOVERNOR"
-        in
-        let aggressor =
-          match aggressor with
-          | Some _ as a -> a
-          | None -> Sys.getenv_opt "MULTITENANT_AGGRESSOR"
-        in
-        let churn_profile =
-          match churn_profile with
-          | Some _ as p -> p
-          | None -> Sys.getenv_opt "CHURN_PROFILE"
-        in
-        let fleet_nics =
-          match fleet_nics with
-          | Some _ as n -> n
-          | None -> (
-              match Sys.getenv_opt "FLEET_NICS" with
-              | Some s -> (
-                  match int_of_string_opt s with
-                  | Some n -> Some n
-                  | None ->
-                      Printf.eprintf "ignoring non-numeric FLEET_NICS=%s\n" s;
-                      None)
-              | None -> None)
-        in
-        let fleet_failover =
-          match fleet_failover with
-          | Some _ as f -> f
-          | None -> Sys.getenv_opt "FLEET_FAILOVER"
-        in
         let tracing = trace || trace_json <> None in
         (* Collect audit violations instead of aborting mid-batch: every
            experiment still runs, then the process exits with the distinct
@@ -243,10 +117,7 @@ let run name seed scale jobs list trace trace_json chaos_profile
         let ctx = P.Run_ctx.create ~tracing ~audit:P.Run_ctx.Collect () in
         let run_desc desc =
           let ctx = P.Run_ctx.with_experiment ctx (P.Exp_desc.name desc) in
-          P.Sweep.run ~jobs
-            ~filter:
-              (filter_for ~chaos_profile ~overload_governor ~aggressor
-                 ~churn_profile ~fleet_nics ~fleet_failover desc)
+          P.Sweep.run ~jobs ?filter:(Option.map P.Exp_desc.matches cells)
             ctx desc ~seed ~scale
         in
         let status =
@@ -256,15 +127,26 @@ let run name seed scale jobs list trace trace_json chaos_profile
           end
           else
             match P.Experiments.find name with
-            | Some desc ->
-                run_desc desc;
-                0
+            | Some desc -> (
+                let all_cells = P.Exp_desc.cells desc in
+                match cells with
+                | Some pats
+                  when not (List.exists (P.Exp_desc.matches pats) all_cells)
+                  ->
+                    Printf.eprintf "--cells %s matches no cell of %s; its \
+                                    cells: %s\n"
+                      pats name
+                      (String.concat ", "
+                         (List.map (fun c -> c.P.Exp_desc.key) all_cells));
+                    1
+                | _ ->
+                    run_desc desc;
+                    0)
             | None ->
                 Printf.eprintf "unknown experiment %s" name;
                 (match P.Experiments.closest name with
-                | Some (suggestion, cells) ->
-                    Printf.eprintf " (did you mean %s, %d cells?)" suggestion
-                      cells
+                | Some (suggestion, n) ->
+                    Printf.eprintf " (did you mean %s, %d cells?)" suggestion n
                 | None -> ());
                 Printf.eprintf "; known: %s\n"
                   (String.concat ", " experiment_names);
@@ -303,7 +185,6 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ name_arg $ seed_arg $ scale_arg $ jobs_arg $ list_arg
-      $ trace_arg $ trace_json_arg $ chaos_profile_arg $ overload_governor_arg
-      $ aggressor_arg $ churn_profile_arg $ nics_arg $ failover_arg)
+      $ trace_arg $ trace_json_arg $ cells_arg)
 
 let main () = exit (Cmd.eval' cmd)

@@ -169,16 +169,6 @@ let chaos_grid =
         policies)
     [ Injector.flaky; Injector.storm ]
 
-(* The CI matrix pins one profile per job; the CLI turns
-   --chaos-profile / CHAOS_PROFILE into a cell filter over these keys. *)
-let profile_filter name cell =
-  match Injector.of_name name with
-  | None -> failwith (Printf.sprintf "chaos: unknown fault profile %s" name)
-  | Some p ->
-      String.length cell.Exp_desc.key > String.length p.Injector.pname
-      && String.sub cell.Exp_desc.key 0 (String.length p.Injector.pname)
-         = p.Injector.pname
-
 let chaos =
   Exp_desc.make ~name:"chaos"
     ~title:

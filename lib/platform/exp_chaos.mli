@@ -22,8 +22,3 @@
 
 val chaos : Exp_desc.t
 (** One cell per (fault profile x resilient policy) matrix point. *)
-
-val profile_filter : string -> Exp_desc.cell -> bool
-(** Cell filter keeping only the named profile's matrix row (the CLI's
-    [--chaos-profile] / the [CHAOS_PROFILE] environment variable).
-    Raises [Failure] on an unknown profile name. *)

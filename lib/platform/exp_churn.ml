@@ -134,15 +134,6 @@ let victim_hist sys ~tenant =
     (Histogram.create ())
     (List.filteri (fun i _ -> i < keep) dps)
 
-let fingerprint_of sys extras =
-  let counters = Counters.dump (Machine.counters (System.machine sys)) in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d;" k v))
-    (List.sort compare counters);
-  List.iter (fun s -> Buffer.add_string buf (s ^ ";")) extras;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 let at sys offset f = ignore (Sim.after (System.sim sys) offset f)
 
 let lifecycle_of sys =
@@ -379,7 +370,7 @@ let measure ctx ~seed ~scale ~key ~scenario =
         population = Tenant.count table;
         victims;
         fingerprint =
-          fingerprint_of sys
+          Exp_common.fingerprint sys
             (List.map
                (fun v -> Printf.sprintf "p99.%s=%.3f" v.vname v.p99_us)
                victims);
@@ -506,21 +497,6 @@ let grid =
       (`Point Chaos);
     cell "repeat-flap" "determinism repeat: 4 rapid flaps" `Repeat;
   ]
-
-(* The CI matrix pins one profile per job; the CLI turns --churn-profile /
-   CHURN_PROFILE into a cell filter over these keys (the repeat cell rides
-   with the flap profile). *)
-let profile_filter setting cell =
-  let prefix s =
-    let k = cell.Exp_desc.key in
-    let n = String.length s in
-    String.length k >= n && String.sub k 0 n = s
-  in
-  match setting with
-  | "steady" -> prefix "steady-"
-  | "flap" -> prefix "flap-" || prefix "repeat-flap"
-  | "chaos" -> prefix "chaos-"
-  | p -> failwith (Printf.sprintf "exp_churn: unknown churn profile %S" p)
 
 let churn =
   Exp_desc.make ~name:"churn"

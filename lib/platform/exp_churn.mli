@@ -11,8 +11,3 @@
     [with_system] audit hook. *)
 
 val churn : Exp_desc.t
-
-val profile_filter : string -> Exp_desc.cell -> bool
-(** [profile_filter setting cell] is the [--churn-profile] CLI filter:
-    ["steady"], ["flap"] (which also keeps the determinism repeat cell)
-    or ["chaos"]. Fails on any other setting. *)

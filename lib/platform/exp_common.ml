@@ -86,6 +86,30 @@ let with_system ?layout ?prepare ?(ctx = Run_ctx.default) ~seed policy f =
   if Run_ctx.tracing ctx then harvest_run ~ctx ~seed sys;
   result
 
+(* --- helpers shared by the storm and repeat-cell drivers ----------------- *)
+
+let fingerprint sys extras =
+  let counters = Counters.dump (Machine.counters (System.machine sys)) in
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d;" k v))
+    (List.sort compare counters);
+  List.iter (fun s -> Buffer.add_string buf (s ^ ";")) extras;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let vm_params sys ~rng ~density =
+  let p =
+    Vm_lifecycle.at_density ~base:(Vm_lifecycle.default_params ~rng) density
+  in
+  {
+    p with
+    Vm_lifecycle.device =
+      {
+        p.Vm_lifecycle.device with
+        Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
+      };
+  }
+
 let start_bg_dp ?storage_target sys ~target ~until =
   let client = System.client sys in
   let rng = Rng.split (System.rng sys) "bg-dp" in

@@ -40,6 +40,20 @@ val with_system :
     for the CLI to report ({!Run_ctx.Collect}). [ctx] defaults to
     {!Run_ctx.default}: tracing off, abort on violation. *)
 
+val fingerprint : System.t -> string list -> string
+(** [fingerprint sys extras] is a hex digest of the machine's sorted
+    counter dump followed by [extras]: the bit-identity witness a
+    determinism-repeat cell compares against its base cell. *)
+
+val vm_params :
+  System.t ->
+  rng:Rng.t ->
+  density:float ->
+  Taichi_controlplane.Vm_lifecycle.params
+(** VM-startup parameters at instance [density], drawn from [rng], with
+    the device-management DP<->CP round trip taken from the system's
+    policy ({!System.dpcp_roundtrip}). *)
+
 val start_bg_dp :
   ?storage_target:float -> System.t -> target:float -> until:Time_ns.t -> unit
 (** Bursty background traffic pinning every data-plane core at [target]

@@ -7,8 +7,6 @@ open Taichi_controlplane
 open Exp_common
 
 let param table cell = List.assoc cell.Exp_desc.key table
-let result results key =
-  List.assoc key (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
 
 (* Worst data-plane disruption a bursty non-preemptible control-plane load
    can cause under a policy: max ping RTT minus baseline min. *)
@@ -147,8 +145,12 @@ let table2 =
       in
       quick_cps ctx ~seed policy)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let base = result results "base" in
-      let pct v = Printf.sprintf "%.1f%% of baseline" (v /. base *. 100.0) in
+      let pct key =
+        match (Exp_desc.result results "base", Exp_desc.result results key) with
+        | Some base, Some v ->
+            Printf.sprintf "%.1f%% of baseline" (v /. base *. 100.0)
+        | _ -> "-"
+      in
       let table =
         Table.create
           ~columns:
@@ -164,9 +166,9 @@ let table2 =
       Table.add_row table
         [
           "DP performance";
-          pct (result results "type1");
-          pct (result results "type2");
-          pct (result results "taichi");
+          pct "type1";
+          pct "type2";
+          pct "taichi";
         ];
       Table.add_row table
         [ "CP residency"; "guest context"; "guest OS"; "SmartNIC OS (vCPU)" ];

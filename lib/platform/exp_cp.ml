@@ -64,10 +64,7 @@ let fig11 =
           start_cp_ecosystem sys ();
           synth_run ctx sys ~concurrency:conc))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let ms key =
-        List.assoc key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
+      let ms = Exp_desc.result results in
       let table =
         Table.create
           ~columns:
@@ -80,15 +77,19 @@ let fig11 =
       in
       List.iter
         (fun conc ->
-          let base = ms (Printf.sprintf "c%d-base" conc) in
-          let taichi = ms (Printf.sprintf "c%d-taichi" conc) in
-          Table.add_row table
-            [
-              string_of_int conc;
-              Table.cell_f base;
-              Table.cell_f taichi;
-              Printf.sprintf "%.2fx" (base /. Float.max 0.001 taichi);
-            ])
+          match
+            ( ms (Printf.sprintf "c%d-base" conc),
+              ms (Printf.sprintf "c%d-taichi" conc) )
+          with
+          | Some base, Some taichi ->
+              Table.add_row table
+                [
+                  string_of_int conc;
+                  Table.cell_f base;
+                  Table.cell_f taichi;
+                  Printf.sprintf "%.2fx" (base /. Float.max 0.001 taichi);
+                ]
+          | _ -> ())
         concurrencies;
       Run_ctx.print_table ctx table;
       Run_ctx.printf ctx "Paper shape: ~4x faster at 32 concurrent tasks.\n")
@@ -102,19 +103,7 @@ let storm sys ~density =
     List.init 8 (fun i -> Task.spinlock (Printf.sprintf "device-driver-%d" i))
   in
   let recorder = Recorder.create "vm.startup" in
-  let params =
-    Vm_lifecycle.at_density ~base:(Vm_lifecycle.default_params ~rng) density
-  in
-  let params =
-    {
-      params with
-      Vm_lifecycle.device =
-        {
-          params.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
+  let params = Exp_common.vm_params sys ~rng ~density in
   let n_vms = max 1 (int_of_float (10.0 *. density)) in
   let tasks =
     List.init n_vms (fun i ->
@@ -160,10 +149,7 @@ let fig17 =
           start_cp_ecosystem sys ();
           storm sys ~density))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let ms key =
-        List.assoc key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
+      let ms = Exp_desc.result results in
       let slo_ms = Time_ns.to_ms_f Vm_lifecycle.slo in
       let table =
         Table.create
@@ -179,17 +165,21 @@ let fig17 =
       in
       List.iter
         (fun density ->
-          let base = ms (Printf.sprintf "d%.0f-base" density) in
-          let taichi = ms (Printf.sprintf "d%.0f-taichi" density) in
-          Table.add_row table
-            [
-              Printf.sprintf "%.0fx" density;
-              Table.cell_f base;
-              Printf.sprintf "%.2fx" (base /. slo_ms);
-              Table.cell_f taichi;
-              Printf.sprintf "%.2fx" (taichi /. slo_ms);
-              Printf.sprintf "%.2fx" (base /. Float.max 0.001 taichi);
-            ])
+          match
+            ( ms (Printf.sprintf "d%.0f-base" density),
+              ms (Printf.sprintf "d%.0f-taichi" density) )
+          with
+          | Some base, Some taichi ->
+              Table.add_row table
+                [
+                  Printf.sprintf "%.0fx" density;
+                  Table.cell_f base;
+                  Printf.sprintf "%.2fx" (base /. slo_ms);
+                  Table.cell_f taichi;
+                  Printf.sprintf "%.2fx" (taichi /. slo_ms);
+                  Printf.sprintf "%.2fx" (base /. Float.max 0.001 taichi);
+                ]
+          | _ -> ())
         fig17_densities;
       Run_ctx.print_table ctx table;
       Run_ctx.printf ctx "Paper shape: ~3.1x startup reduction at high density.\n")

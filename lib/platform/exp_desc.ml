@@ -56,3 +56,38 @@ let title (T d) = d.title
 let description (T d) = d.description
 let cells (T d) = d.cells
 let cell_count (T d) = List.length d.cells
+
+let result results key =
+  List.find_map (fun (c, r) -> if c.key = key then Some r else None) results
+
+(* Glob over the whole key with [*] as the only metacharacter: the first
+   segment anchors at the start, the last at the end, and the ones in
+   between are found leftmost-first, which is exact for [*]-only globs. *)
+let glob pattern key =
+  let n = String.length key in
+  let at i s =
+    let l = String.length s in
+    i + l <= n && String.sub key i l = s
+  in
+  let rec find s i =
+    if i + String.length s > n then None
+    else if at i s then Some (i + String.length s)
+    else find s (i + 1)
+  in
+  let rec rest i = function
+    | [ last ] ->
+        let l = String.length last in
+        n - i >= l && at (n - l) last
+    | seg :: segs -> (
+        match find seg i with Some j -> rest j segs | None -> false)
+    | [] -> true
+  in
+  match String.split_on_char '*' pattern with
+  | [ exact ] -> String.equal exact key
+  | first :: segs -> at 0 first && rest (String.length first) segs
+  | [] -> false
+
+let matches patterns cell =
+  List.exists
+    (fun p -> glob p cell.key)
+    (String.split_on_char ',' patterns)

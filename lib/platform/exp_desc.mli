@@ -52,3 +52,15 @@ val title : t -> string
 val description : t -> string
 val cells : t -> cell list
 val cell_count : t -> int
+
+val result : (cell * 'r) list -> string -> 'r option
+(** [result results key] is the result of cell [key] if it ran. A
+    [--cells] selection may leave any cell out, so a summary renders the
+    rows whose cells ran and leaves out the rest. *)
+
+val matches : string -> cell -> bool
+(** [matches patterns cell] holds when the cell's whole key matches at
+    least one of the comma-separated glob [patterns], where [*] matches
+    any substring (including the empty one): ["storm-*"], ["*-on"],
+    ["*n8-*fo_on"]. An empty item matches only the empty key, i.e. no
+    cell. This is the CLI's [--cells] selector. *)

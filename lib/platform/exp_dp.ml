@@ -8,8 +8,13 @@ open Taichi_controlplane
 open Exp_common
 
 let param table cell = List.assoc cell.Exp_desc.key table
-let result results key =
-  List.assoc key (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
+let result = Exp_desc.result
+
+(* Change against the baseline cell, or "-" when it did not run. *)
+let vs_baseline base v =
+  match base with
+  | Some b -> Printf.sprintf "%+.1f%%" ((v -. b) /. b *. 100.0)
+  | None -> "-"
 
 (* Standard control-plane pressure during data-plane benchmarks: the
    long-lived background plus bursty short tasks offering more work than
@@ -64,10 +69,10 @@ let fig12 =
             Rr_engine.rx_pps r ~duration:dur,
             Rr_engine.tx_pps r ~duration:dur )))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let results = List.map snd results in
       let base_cps =
-        match results with (_, cps, _, _) :: _ -> cps | [] -> 1.0
+        Option.map (fun (_, cps, _, _) -> cps) (result results "base")
       in
+      let results = List.map snd results in
       let table =
         Table.create
           ~columns:
@@ -87,7 +92,7 @@ let fig12 =
               Table.cell_f cps;
               Table.cell_f rx;
               Table.cell_f tx;
-              Printf.sprintf "%+.1f%%" ((cps -. base_cps) /. base_cps *. 100.0);
+              vs_baseline base_cps cps;
             ])
         results;
       Run_ctx.print_table ctx table;
@@ -123,8 +128,8 @@ let fig13 =
             Fio.iops r ~duration:dur,
             Fio.bandwidth_mb r ~params ~duration:dur )))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
+      let base = Option.map (fun (_, iops, _) -> iops) (result results "base") in
       let results = List.map snd results in
-      let base = match results with (_, iops, _) :: _ -> iops | [] -> 1.0 in
       let table =
         Table.create
           ~columns:
@@ -142,7 +147,7 @@ let fig13 =
               name;
               Table.cell_f iops;
               Table.cell_f bw;
-              Printf.sprintf "%+.1f%%" ((iops -. base) /. base *. 100.0);
+              vs_baseline base iops;
             ])
         results;
       Run_ctx.print_table ctx table;
@@ -228,9 +233,17 @@ let rr_case ~connections ~stages ~think client rng ~cores ~until =
     ~params:{ Rr_engine.connections; stages; think; ramp = Time_ns.ms 1 }
     ~cores ~until
 
-(* Each run-case is one system build; the tcp_stream case contributes two
-   display rows (rx and tx pps), so a cell's result is a float list. *)
-let fig14_runs = [ "udp_stream"; "tcp_stream"; "tcp_rr"; "sock_tcp"; "sock_udp" ]
+(* Each run-case is one system build, paired with its display rows; the
+   tcp_stream case contributes two (rx and tx pps), so a cell's result is
+   a float list. *)
+let fig14_cases =
+  [
+    ("udp_stream", [ "udp_stream(rx_pps)" ]);
+    ("tcp_stream", [ "tcp_stream(rx_pps)"; "tcp_stream(tx_pps)" ]);
+    ("tcp_rr", [ "tcp_rr(tps)" ]);
+    ("sock_tcp", [ "sockperf_tcp(cps)" ]);
+    ("sock_udp", [ "sockperf_udp(avg_lat)" ]);
+  ]
 
 let fig14_dur = Time_ns.ms 500
 
@@ -315,11 +328,7 @@ let fig14_grid =
             },
             (case, policy) ))
         [ ("base", Policy.Static_partition); ("taichi", Policy.taichi_default) ])
-    fig14_runs
-
-let fig14_cases =
-  [ "udp_stream(rx_pps)"; "tcp_stream(rx_pps)"; "tcp_stream(tx_pps)";
-    "tcp_rr(tps)"; "sockperf_tcp(cps)"; "sockperf_udp(avg_lat)" ]
+    (List.map fst fig14_cases)
 
 let fig14 =
   Exp_desc.make ~name:"fig14"
@@ -334,12 +343,6 @@ let fig14 =
       in
       fig14_case ctx ~seed policy case)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let vals tag =
-        List.concat_map
-          (fun case -> result results (Printf.sprintf "%s-%s" case tag))
-          fig14_runs
-      in
-      let base = vals "base" and taichi = vals "taichi" in
       let table =
         Table.create
           ~columns:
@@ -351,22 +354,38 @@ let fig14 =
             ]
       in
       let overheads = ref [] in
-      List.iteri
-        (fun i name ->
-          let b = List.nth base i and t = List.nth taichi i in
-          (* The latency case is lower-is-better. *)
-          let ov =
-            if i = 5 then (t -. b) /. b *. 100.0 else (b -. t) /. b *. 100.0
-          in
-          overheads := ov :: !overheads;
-          Table.add_row table
-            [ name; Table.cell_f b; Table.cell_f t; Printf.sprintf "%.2f%%" ov ])
+      List.iter
+        (fun (case, names) ->
+          match
+            (result results (case ^ "-base"), result results (case ^ "-taichi"))
+          with
+          | Some base, Some taichi ->
+              List.iteri
+                (fun i name ->
+                  let b = List.nth base i and t = List.nth taichi i in
+                  (* The latency case is lower-is-better. *)
+                  let ov =
+                    if case = "sock_udp" then (t -. b) /. b *. 100.0
+                    else (b -. t) /. b *. 100.0
+                  in
+                  overheads := ov :: !overheads;
+                  Table.add_row table
+                    [
+                      name;
+                      Table.cell_f b;
+                      Table.cell_f t;
+                      Printf.sprintf "%.2f%%" ov;
+                    ])
+                names
+          | _ -> ())
         fig14_cases;
       Run_ctx.print_table ctx table;
-      let ovs = !overheads in
-      Run_ctx.printf ctx
-        "Average overhead %.2f%% (paper: 0.6%% avg, 1.92%% peak).\n"
-        (List.fold_left ( +. ) 0.0 ovs /. float_of_int (List.length ovs)))
+      match !overheads with
+      | [] -> ()
+      | ovs ->
+          Run_ctx.printf ctx
+            "Average overhead %.2f%% (paper: 0.6%% avg, 1.92%% peak).\n"
+            (List.fold_left ( +. ) 0.0 ovs /. float_of_int (List.length ovs)))
 
 (* --- Fig 15: MySQL ----------------------------------------------------------- *)
 
@@ -403,7 +422,6 @@ let fig15 =
           System.advance sys (dur + Time_ns.ms 5);
           Mysql.metrics r))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let b = result results "base" and t = result results "taichi" in
       let table =
         Table.create
           ~columns:
@@ -423,10 +441,13 @@ let fig15 =
             Printf.sprintf "%.2f%%" (overhead_pct ~baseline:bv ~measured:tv);
           ]
       in
-      row "max_query/s" b.Mysql.max_query t.Mysql.max_query;
-      row "avg_query/s" b.Mysql.avg_query t.Mysql.avg_query;
-      row "max_trans/s" b.Mysql.max_trans t.Mysql.max_trans;
-      row "avg_trans/s" b.Mysql.avg_trans t.Mysql.avg_trans;
+      (match (result results "base", result results "taichi") with
+      | Some b, Some t ->
+          row "max_query/s" b.Mysql.max_query t.Mysql.max_query;
+          row "avg_query/s" b.Mysql.avg_query t.Mysql.avg_query;
+          row "max_trans/s" b.Mysql.max_trans t.Mysql.max_trans;
+          row "avg_trans/s" b.Mysql.avg_trans t.Mysql.avg_trans
+      | _ -> ());
       Run_ctx.print_table ctx table;
       Run_ctx.printf ctx "Paper shape: ~1.56%% average overhead.\n")
 
@@ -485,16 +506,20 @@ let fig16 =
       in
       List.iter
         (fun name ->
-          let b = result results (name ^ "-base") in
-          let t = result results (name ^ "-taichi") in
-          let shown = if name = "https" then "https_short" else name in
-          Table.add_row table
-            [
-              shown;
-              Table.cell_f b;
-              Table.cell_f t;
-              Printf.sprintf "%.2f%%" (overhead_pct ~baseline:b ~measured:t);
-            ])
+          match
+            (result results (name ^ "-base"), result results (name ^ "-taichi"))
+          with
+          | Some b, Some t ->
+              let shown = if name = "https" then "https_short" else name in
+              Table.add_row table
+                [
+                  shown;
+                  Table.cell_f b;
+                  Table.cell_f t;
+                  Printf.sprintf "%.2f%%"
+                    (overhead_pct ~baseline:b ~measured:t);
+                ]
+          | _ -> ())
         [ "http"; "https" ];
       Run_ctx.print_table ctx table;
       Run_ctx.printf ctx "Paper shape: ~0.51%% average overhead, up to ~1%%.\n")
@@ -564,15 +589,12 @@ let sec8 =
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
       let peak key =
         match result results key with
-        | Peak (cps, iops) -> (cps, iops)
-        | Cp_time _ -> (0.0, 0.0)
+        | Some (Peak (cps, iops)) -> Some (cps, iops)
+        | _ -> None
       in
       let cp key =
-        match result results key with Cp_time ms -> ms | Peak _ -> 0.0
+        match result results key with Some (Cp_time ms) -> Some ms | _ -> None
       in
-      let cps0, iops0 = peak "peak-4cp" in
-      let cps1, iops1 = peak "peak-2cp" in
-      let cp0 = cp "cptime-4cp" and cp1 = cp "cptime-2cp" in
       let table =
         Table.create
           ~columns:
@@ -592,9 +614,14 @@ let sec8 =
             Printf.sprintf "%+.1f%%" ((v1 -. v0) /. v0 *. 100.0);
           ]
       in
-      row "peak CPS" cps0 cps1;
-      row "peak IOPS" iops0 iops1;
-      row "synth_cp avg ms (8 tasks)" cp0 cp1;
+      (match (peak "peak-4cp", peak "peak-2cp") with
+      | Some (cps0, iops0), Some (cps1, iops1) ->
+          row "peak CPS" cps0 cps1;
+          row "peak IOPS" iops0 iops1
+      | _ -> ());
+      (match (cp "cptime-4cp", cp "cptime-2cp") with
+      | Some cp0, Some cp1 -> row "synth_cp avg ms (8 tasks)" cp0 cp1
+      | _ -> ());
       Run_ctx.print_table ctx table;
       Run_ctx.printf ctx
         "Paper shape: +39%% peak IOPS, +43%% CPS, CP performance consistent \

@@ -219,23 +219,6 @@ let grid =
       `Repeat;
   ]
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-(* The CI matrix pins (nics, failover) per job; the CLI turns --nics /
-   FLEET_NICS and --failover / FLEET_FAILOVER into cell filters over
-   these keys (the repeat cell rides with its base cell's settings). *)
-let nics_filter n cell =
-  contains ~needle:(Printf.sprintf "n%d-" n) cell.Exp_desc.key
-
-let failover_filter setting cell =
-  match setting with
-  | "on" -> contains ~needle:"fo_on" cell.Exp_desc.key
-  | "off" -> contains ~needle:"fo_off" cell.Exp_desc.key
-  | s -> failwith (Printf.sprintf "exp_fleet: unknown failover setting %S" s)
-
 let fleet =
   Exp_desc.make ~name:"fleet"
     ~title:

@@ -30,13 +30,3 @@ val fleet : Exp_desc.t
 (** Six cells: 8-NIC crash x governor on/off x failover on/off (three
     points), the faultless integrity cell, the 16-NIC storm cell, and
     the determinism repeat. *)
-
-val nics_filter : int -> Exp_desc.cell -> bool
-(** Cell filter keeping the cells whose fleet is [n] NICs wide (the
-    CLI's [--nics] / the [FLEET_NICS] environment variable); the repeat
-    cell rides with its 8-NIC base cell. *)
-
-val failover_filter : string -> Exp_desc.cell -> bool
-(** Cell filter keeping one failover setting, ["on"] or ["off"] (the
-    CLI's [--failover] / the [FLEET_FAILOVER] environment variable).
-    Raises [Failure] on any other setting. *)

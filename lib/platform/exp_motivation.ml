@@ -20,21 +20,7 @@ let startup_storm ctx sys ~rng ~density ~vms_base =
     List.init 8 (fun i -> Task.spinlock (Printf.sprintf "device-driver-%d" i))
   in
   let recorder = Recorder.create "vm.startup" in
-  let params =
-    Vm_lifecycle.at_density
-      ~base:(Vm_lifecycle.default_params ~rng)
-      density
-  in
-  let params =
-    {
-      params with
-      Vm_lifecycle.device =
-        {
-          params.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
+  let params = Exp_common.vm_params sys ~rng ~density in
   let n_vms = max 1 (int_of_float (vms_base *. density)) in
   let tasks =
     List.init n_vms (fun i ->
@@ -79,9 +65,11 @@ let fig2 =
           let cp, st = startup_storm ctx sys ~rng ~density ~vms_base:10.0 in
           (density, cp, st)))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
+      let base_cp =
+        Option.map (fun (_, cp, _) -> cp) (Exp_desc.result results "1x")
+      in
       let results = List.map snd results in
       let slo_ms = Time_ns.to_ms_f Vm_lifecycle.slo in
-      let base_cp = match results with (_, cp, _) :: _ -> cp | [] -> 1.0 in
       let table =
         Table.create
           ~columns:
@@ -99,7 +87,9 @@ let fig2 =
             [
               Printf.sprintf "%.0fx" d;
               Table.cell_f cp;
-              Printf.sprintf "%.1fx" (cp /. base_cp);
+              (match base_cp with
+              | Some b -> Printf.sprintf "%.1fx" (cp /. b)
+              | None -> "-");
               Table.cell_f st;
               Printf.sprintf "%.2fx" (st /. slo_ms);
             ])
@@ -208,12 +198,6 @@ let fig4 =
       in
       spike_scenario ctx ~seed policy)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let get key =
-        List.assoc key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
-      let naive, naive_spikes, naive_wait = get "naive" in
-      let taichi, taichi_spikes, _ = get "taichi" in
       let table =
         Table.create
           ~columns:
@@ -224,25 +208,24 @@ let fig4 =
               ("spikes>100us", Table.Right);
             ]
       in
-      Table.add_row table
-        [
-          "naive co-schedule";
-          Table.cell_f naive.Ping.avg_us;
-          Table.cell_f naive.Ping.max_us;
-          string_of_int naive_spikes;
-        ];
-      Table.add_row table
-        [
-          "taichi";
-          Table.cell_f taichi.Ping.avg_us;
-          Table.cell_f taichi.Ping.max_us;
-          string_of_int taichi_spikes;
-        ];
+      List.iter
+        (fun (c, (ping, spikes, _)) ->
+          Table.add_row table
+            [
+              c.Exp_desc.label;
+              Table.cell_f ping.Ping.avg_us;
+              Table.cell_f ping.Ping.max_us;
+              string_of_int spikes;
+            ])
+        results;
       Run_ctx.print_table ctx table;
-      Run_ctx.printf ctx
-        "Naive worst reclaim wait (T2-T3 of Fig 4): %s; Tai Chi breaks the \
-         routine via vCPU preemption.\n"
-        (Time_ns.to_string naive_wait))
+      Option.iter
+        (fun (_, _, naive_wait) ->
+          Run_ctx.printf ctx
+            "Naive worst reclaim wait (T2-T3 of Fig 4): %s; Tai Chi breaks \
+             the routine via vCPU preemption.\n"
+            (Time_ns.to_string naive_wait))
+        (Exp_desc.result results "naive"))
 
 (* --- Fig 5 ---------------------------------------------------------------- *)
 

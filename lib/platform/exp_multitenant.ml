@@ -108,19 +108,7 @@ let storm sys ~tenant ~density ~spread ~recorder =
   let locks =
     List.init 8 (fun i -> Task.spinlock (Printf.sprintf "mt-driver-%d" i))
   in
-  let params =
-    Vm_lifecycle.at_density ~base:(Vm_lifecycle.default_params ~rng) density
-  in
-  let params =
-    {
-      params with
-      Vm_lifecycle.device =
-        {
-          params.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
+  let params = Exp_common.vm_params sys ~rng ~density in
   let n_vms = max 1 (int_of_float (10.0 *. density)) in
   let tasks =
     List.init n_vms (fun i ->
@@ -158,19 +146,6 @@ let burst sys ~cores ~until =
           Bgload.per_packet_est = Time_ns.ns 5200;
         }
       ~cores:sto ~kind:Packet.Storage_read ~size:4096 ~until
-
-(* Deterministic digest of the cell (same discipline as exp_overload):
-   identical seeds must reproduce it bit-for-bit. *)
-let fingerprint_of sys extras =
-  let counters =
-    Counters.dump (Taichi_hw.Machine.counters (System.machine sys))
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d;" k v))
-    (List.sort compare counters);
-  List.iter (fun s -> Buffer.add_string buf (s ^ ";")) extras;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* --- one cell ------------------------------------------------------------ *)
 
@@ -325,7 +300,7 @@ let measure ctx ~seed ~scale ~key ~specs ~scenario =
         vms_done = List.length (List.filter Task.is_finished storm_tasks);
         vms_total = List.length storm_tasks;
         fingerprint =
-          fingerprint_of sys
+          Exp_common.fingerprint sys
             (List.map (fun r -> Printf.sprintf "p99.%d=%.3f" r.tid r.p99_us) rows);
       })
 
@@ -486,20 +461,6 @@ let grid =
     cell "repeat-storm-t2-skew"
       "determinism repeat: 2 tenants 3:1, CP storm" `Repeat;
   ]
-
-(* The CI matrix pins one aggressor setting per job; the CLI turns
-   --aggressor / MULTITENANT_AGGRESSOR into a cell filter over these
-   keys (the repeat cell counts as an aggressor cell). *)
-let aggressor_filter setting cell =
-  let prefix s =
-    let k = cell.Exp_desc.key in
-    let n = String.length s in
-    String.length k >= n && String.sub k 0 n = s
-  in
-  match setting with
-  | "on" -> prefix "storm-" || prefix "burst-" || prefix "repeat-storm"
-  | "off" -> prefix "sat-" || prefix "idle-"
-  | a -> failwith (Printf.sprintf "exp_multitenant: unknown aggressor %S" a)
 
 let multitenant =
   Exp_desc.make ~name:"multitenant"

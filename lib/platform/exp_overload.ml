@@ -47,19 +47,7 @@ let storm sys ~density ~spread ~recorder =
   let locks =
     List.init 8 (fun i -> Task.spinlock (Printf.sprintf "device-driver-%d" i))
   in
-  let params =
-    Vm_lifecycle.at_density ~base:(Vm_lifecycle.default_params ~rng) density
-  in
-  let params =
-    {
-      params with
-      Vm_lifecycle.device =
-        {
-          params.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
+  let params = Exp_common.vm_params sys ~rng ~density in
   let n_vms = max 1 (int_of_float (10.0 *. density)) in
   let tasks =
     List.init n_vms (fun i ->
@@ -75,20 +63,6 @@ let storm sys ~density ~spread ~recorder =
              System.spawn_cp ~cls:Overload.Standard sys task)))
     tasks;
   tasks
-
-(* A deterministic digest of everything the cell measured: identical
-   seeds must reproduce it bit-for-bit (the acceptance oracle below runs
-   the hottest cell twice and compares). *)
-let fingerprint_of sys extras =
-  let counters =
-    Counters.dump (Taichi_hw.Machine.counters (System.machine sys))
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d;" k v))
-    (List.sort compare counters);
-  List.iter (fun s -> Buffer.add_string buf (s ^ ";")) extras;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let measure ctx ~seed ~scale ~density ~governor =
   let config =
@@ -175,7 +149,7 @@ let measure ctx ~seed ~scale ~density ~governor =
           get "overload.deferred.standard" + get "overload.deferred.deferrable";
         held = get "overload.client_held.churn";
         fingerprint =
-          fingerprint_of sys
+          Exp_common.fingerprint sys
             [
               Printf.sprintf "p99=%.3f" p99_us;
               Printf.sprintf "startup=%d" (Recorder.count recorder);
@@ -255,20 +229,6 @@ let overload_grid =
         },
         `Repeat );
     ]
-
-(* The CI matrix pins one governor setting per job; the CLI turns
-   --overload / OVERLOAD_GOVERNOR into a cell filter over these keys
-   (the repeat cell counts as a governed cell). *)
-let governor_filter setting cell =
-  let suffix s =
-    let k = cell.Exp_desc.key in
-    let n = String.length s in
-    String.length k >= n && String.sub k (String.length k - n) n = s
-  in
-  match setting with
-  | "on" -> suffix "-on"
-  | "off" -> suffix "-off"
-  | g -> failwith (Printf.sprintf "exp_overload: unknown governor %S" g)
 
 let overload =
   Exp_desc.make ~name:"overload"

@@ -22,9 +22,3 @@
 val overload : Exp_desc.t
 (** One cell per (density x governor) grid point plus the determinism
     repeat cell. *)
-
-val governor_filter : string -> Exp_desc.cell -> bool
-(** Cell filter keeping one governor setting, ["on"] or ["off"] (the
-    CLI's [--overload] / the [OVERLOAD_GOVERNOR] environment variable);
-    the repeat cell counts as governed. Raises [Failure] on any other
-    setting. *)

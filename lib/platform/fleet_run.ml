@@ -180,21 +180,7 @@ let make_env ~ctx ~seed ~nic_idx p =
   System.warmup sys;
   let rng = System.rng sys in
   let vm_rng = Rng.split rng "fleet-storm" in
-  let vm_params =
-    let base =
-      Vm_lifecycle.at_density
-        ~base:(Vm_lifecycle.default_params ~rng:vm_rng)
-        p.density
-    in
-    {
-      base with
-      Vm_lifecycle.device =
-        {
-          base.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
+  let vm_params = Exp_common.vm_params sys ~rng:vm_rng ~density:p.density in
   {
     idx = nic_idx;
     sys;

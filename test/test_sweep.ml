@@ -136,8 +136,133 @@ let shuffle_prop =
       let jobs = if parallel then 4 else 1 in
       String.equal reference (synth_output order ~jobs))
 
+(* --- the --cells selector ------------------------------------------------ *)
+
+(* Each row: experiment, pattern, and the exact cells (in declaration
+   order) the pattern must select. The first fifteen rows are the slices
+   CI, the Makefile and the docs run (one fault profile, governor
+   setting, tenant half, churn profile, rack width or failover setting);
+   the rest pin the glob's edge cases. *)
+let selections =
+  [
+    ("chaos", "flaky-*", [ "flaky-probe"; "flaky-noprobe" ]);
+    ("chaos", "storm-*", [ "storm-probe"; "storm-noprobe" ]);
+    ("overload", "*-on", [ "d1-on"; "d2-on"; "d4-on"; "repeat-d4-on" ]);
+    ("overload", "*-off", [ "d1-off"; "d2-off"; "d4-off" ]);
+    ( "multitenant",
+      "storm-*,burst-*,repeat-*",
+      [
+        "storm-t2-even";
+        "storm-t2-skew";
+        "storm-t3-skew";
+        "burst-t2-even";
+        "burst-t2-skew";
+        "repeat-storm-t2-skew";
+      ] );
+    ( "multitenant",
+      "sat-*,idle-*",
+      [ "sat-t2-even"; "sat-t2-skew"; "sat-t3-skew"; "idle-t2-skew" ] );
+    ("churn", "steady-*", [ "steady-wave"; "steady-depart" ]);
+    ("churn", "*flap*", [ "flap-thrash"; "flap-refusal"; "repeat-flap" ]);
+    ("churn", "chaos-*", [ "chaos-churn" ]);
+    ( "fleet",
+      "*n8-*",
+      [
+        "n8-gov_on-fo_on";
+        "n8-gov_off-fo_on";
+        "n8-gov_on-fo_off";
+        "n8-quiet-fo_on";
+        "repeat-n8-gov_on-fo_on";
+      ] );
+    ("fleet", "*n16-*", [ "n16-storm-gov_on-fo_on" ]);
+    ( "fleet",
+      "*fo_on",
+      [
+        "n8-gov_on-fo_on";
+        "n8-gov_off-fo_on";
+        "n8-quiet-fo_on";
+        "n16-storm-gov_on-fo_on";
+        "repeat-n8-gov_on-fo_on";
+      ] );
+    ("fleet", "*fo_off", [ "n8-gov_on-fo_off" ]);
+    ( "fleet",
+      "*n8-*fo_on",
+      [
+        "n8-gov_on-fo_on";
+        "n8-gov_off-fo_on";
+        "n8-quiet-fo_on";
+        "repeat-n8-gov_on-fo_on";
+      ] );
+    ("fleet", "*n16-*fo_on", [ "n16-storm-gov_on-fo_on" ]);
+    (* a lone star keeps everything *)
+    ( "chaos",
+      "*",
+      [ "flaky-probe"; "flaky-noprobe"; "storm-probe"; "storm-noprobe" ] );
+    (* an exact key is a pattern without a star *)
+    ("overload", "d2-on", [ "d2-on" ]);
+    (* an empty item matches only the empty key, so it adds nothing *)
+    ("churn", ",chaos-*,", [ "chaos-churn" ]);
+    (* the whole key must match: an infix alone is not enough *)
+    ("overload", "d4", []);
+    ("fleet", "gov_on", []);
+    (* single-cell experiments carry the key "all" *)
+    ("fig3", "all", [ "all" ]);
+    (* nothing matches *)
+    ("chaos", "none-*", []);
+  ]
+
+let cell_selector () =
+  List.iter
+    (fun (name, pattern, expected) ->
+      let desc =
+        match Experiments.find name with
+        | Some d -> d
+        | None -> Alcotest.failf "unknown experiment %s" name
+      in
+      let selected =
+        List.filter_map
+          (fun c ->
+            if Exp_desc.matches pattern c then Some c.Exp_desc.key else None)
+          (Exp_desc.cells desc)
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s --cells %S" name pattern)
+        expected selected)
+    selections
+
+(* Paper summaries pair cells (baseline vs Tai Chi, 4 vs 2 CP cores, a
+   baseline-normalised column): a selection that leaves one side out must
+   render what ran and drop the rest, not fail the summary. *)
+let partial_summaries () =
+  List.iter
+    (fun (name, pattern) ->
+      let desc = Option.get (Experiments.find name) in
+      let ctx =
+        Run_ctx.for_cell (Run_ctx.with_experiment (Run_ctx.create ()) name)
+      in
+      try
+        Sweep.run ~filter:(Exp_desc.matches pattern) ctx desc ~seed:42
+          ~scale:0.02
+      with e ->
+        Alcotest.failf "%s --cells %s: %s" name pattern (Printexc.to_string e))
+    [
+      ("fig2", "4x");
+      ("fig4", "taichi");
+      ("fig11", "c1-taichi");
+      ("fig12", "taichi");
+      ("fig13", "taichi");
+      ("fig14", "udp_stream-taichi");
+      ("fig15", "taichi");
+      ("fig16", "http-taichi");
+      ("fig17", "d1-taichi");
+      ("table2", "taichi");
+      ("sec8", "cptime-2cp");
+    ]
+
 let suite =
   [
+    Alcotest.test_case "summaries of a partial grid" `Quick partial_summaries;
+    Alcotest.test_case "cell selector" `Quick cell_selector;
     Alcotest.test_case "two systems concurrently" `Quick
       two_systems_concurrently;
     Alcotest.test_case "fig17 parallel equivalence" `Slow
