@@ -12,8 +12,6 @@ type t = {
   mutable pending : bool array;  (* core -> probe IRQ in flight *)
   h_triggers : Counters.handle;
   h_suppressed : Counters.handle;
-  mutable triggers : int;
-  mutable suppressed : int;
   mutable suppressor : (core:int -> bool) option;
 }
 
@@ -27,7 +25,6 @@ let fire t ~core =
     t.pending <- grown
   end;
   t.pending.(core) <- true;
-  t.triggers <- t.triggers + 1;
   Counters.incr_h (Machine.counters t.machine) t.h_triggers;
   let trace = Machine.trace t.machine in
   if Trace.enabled trace then
@@ -49,8 +46,6 @@ let install config machine table pipeline sched =
       h_triggers = Counters.handle (Machine.counters machine) "probe.hw.triggers";
       h_suppressed =
         Counters.handle (Machine.counters machine) "probe.hw.suppressed";
-      triggers = 0;
-      suppressed = 0;
       suppressor = None;
     }
   in
@@ -62,10 +57,8 @@ let install config machine table pipeline sched =
            match State_table.get t.table ~core with
            | State_table.P_state -> ()
            | State_table.V_state ->
-               if is_pending t core then begin
-                 t.suppressed <- t.suppressed + 1;
+               if is_pending t core then
                  Counters.incr_h (Machine.counters t.machine) t.h_suppressed
-               end
                else
                  (* The injected suppressor models the accelerator failing
                     to raise the IRQ it should have: the packet simply goes
@@ -87,5 +80,5 @@ let set_suppressor t f = t.suppressor <- f
 let misfire t ~core =
   if not (is_pending t core) then fire t ~core
 
-let triggers t = t.triggers
-let suppressed t = t.suppressed
+let triggers t = Counters.get_h (Machine.counters t.machine) t.h_triggers
+let suppressed t = Counters.get_h (Machine.counters t.machine) t.h_suppressed

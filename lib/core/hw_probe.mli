@@ -33,8 +33,8 @@ val misfire : t -> core:int -> unit
     probe handler must tolerate. *)
 
 val triggers : t -> int
-(** IRQs fired (V-state hits). *)
+(** IRQs fired (V-state hits): a view of [probe.hw.triggers]. *)
 
 val suppressed : t -> int
 (** Descriptors that found the core already being evicted (IRQ pending)
-    and needed no second interrupt. *)
+    and needed no second interrupt: a view of [probe.hw.suppressed]. *)

@@ -51,10 +51,6 @@ type lane = {
   mutable place_tokens : int;
   mutable std_tokens : int;
   mutable def_tokens : int;
-  mutable s_transitions : int;
-  mutable s_escalations : int;
-  mutable s_relaxes : int;
-  shed_counts : (cls, int) Hashtbl.t;
 }
 
 (* A mirrored counter cell: the global handle plus the per-tenant lane
@@ -143,10 +139,6 @@ let make_lane (p : Config.overload) ~tid ~tagged =
     place_tokens = p.token_burst;
     std_tokens = p.token_burst;
     def_tokens = p.token_burst;
-    s_transitions = 0;
-    s_escalations = 0;
-    s_relaxes = 0;
-    shed_counts = Hashtbl.create 4;
   }
 
 let create ?(tenants = Tenant.single) params machine kernel recovery =
@@ -192,8 +184,8 @@ let observe_latency t ?(tenant = 0) lat =
 let fold_lanes t f init = Array.fold_left f init t.lanes
 
 (* Live-state folds skip frozen lanes: a retired tenant's final rung is
-   history, not pressure. Cumulative stats (transitions, sheds) keep
-   counting frozen lanes — those totals must still match the globals. *)
+   history, not pressure. Cumulative stats (transitions, sheds) are the
+   global registry counters, so a frozen lane's history stays in them. *)
 let level t =
   fold_lanes t
     (fun acc l ->
@@ -212,15 +204,11 @@ let backpressure t =
     (fun acc l -> acc || ((not l.frozen) && rank l.level >= rank Defer))
     false
 let on_transition t f = t.transition_cbs <- t.transition_cbs @ [ f ]
-let transitions t = fold_lanes t (fun a l -> a + l.s_transitions) 0
-let escalations t = fold_lanes t (fun a l -> a + l.s_escalations) 0
-let relaxes t = fold_lanes t (fun a l -> a + l.s_relaxes) 0
-
-let lane_shed l cls =
-  Option.value ~default:0 (Hashtbl.find_opt l.shed_counts cls)
-
-let shed t cls = fold_lanes t (fun a l -> a + lane_shed l cls) 0
-let shed_of t ~tenant cls = lane_shed (lane t tenant) cls
+let global t c = Counters.get_h t.ctr c.ch
+let transitions t = global t t.cells.c_transitions
+let escalations t = global t t.cells.c_escalations
+let relaxes t = global t t.cells.c_relaxes
+let shed t cls = global t t.cells.c_shed.(Tenant.cls_rank cls)
 let deferred_pending t = fold_lanes t (fun a l -> a + Queue.length l.deferred) 0
 let deferred_pending_of t ~tenant = Queue.length (lane t tenant).deferred
 
@@ -288,7 +276,6 @@ let park t l cls run =
   `Deferred
 
 let drop t l cls =
-  Hashtbl.replace l.shed_counts cls (lane_shed l cls + 1);
   lane_count t l t.cells.c_shed.(Tenant.cls_rank cls);
   `Shed
 
@@ -327,17 +314,10 @@ let goto t l to_ =
   l.level <- to_;
   l.entered <- now;
   l.calm_since <- None;
-  l.s_transitions <- l.s_transitions + 1;
   lane_count t l t.cells.c_transitions;
   lane_count t l t.cells.c_enter.(rank to_);
-  if rank to_ > rank from then begin
-    l.s_escalations <- l.s_escalations + 1;
-    lane_count t l t.cells.c_escalations
-  end
-  else begin
-    l.s_relaxes <- l.s_relaxes + 1;
-    lane_count t l t.cells.c_relaxes
-  end;
+  if rank to_ > rank from then lane_count t l t.cells.c_escalations
+  else lane_count t l t.cells.c_relaxes;
   (if l.tagged then
      Trace.emitf (Machine.trace t.machine) ~time:now
        ~category:Trace.Cat.overload "tenant=%d seq=%d from=%s to=%s held=%d min=%d"

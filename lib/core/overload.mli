@@ -155,13 +155,18 @@ val on_transition : t -> (level -> level -> unit) -> unit
     effects — forced degraded engage/release, deferred-queue drain). *)
 
 val transitions : t -> int
+(** Ladder transitions so far, summed over lanes: a view of
+    [overload.transitions]. *)
+
 val escalations : t -> int
+(** A view of [overload.escalations]. *)
+
 val relaxes : t -> int
+(** A view of [overload.relaxes]. *)
 
 val shed : t -> cls -> int
-(** Admissions dropped for [cls] so far, summed over lanes. *)
-
-val shed_of : t -> tenant:int -> cls -> int
+(** Admissions dropped for [cls] so far, summed over lanes: a view of
+    [overload.shed.<cls>]. *)
 
 val deferred_pending : t -> int
 (** Admissions currently parked on the deferred queues, summed over

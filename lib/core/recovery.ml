@@ -11,8 +11,6 @@ type t = {
   mutable degraded : bool;
   mutable forced : bool;
   mutable last_event : Time_ns.t;
-  mutable engaged : int;
-  mutable rearmed : int;
   mutable engage_cbs : (unit -> unit) list;
   mutable rearm_cbs : (unit -> unit) list;
   h_rearmed : Counters.handle;
@@ -36,8 +34,6 @@ let create config machine =
     degraded = false;
     forced = false;
     last_event = Time_ns.zero;
-    engaged = 0;
-    rearmed = 0;
     engage_cbs = [];
     rearm_cbs = [];
     h_rearmed = h "recovery.degraded.rearmed";
@@ -51,15 +47,14 @@ let degraded t = t.degraded
 let forced t = t.forced
 let on_engage t f = t.engage_cbs <- t.engage_cbs @ [ f ]
 let on_rearm t f = t.rearm_cbs <- t.rearm_cbs @ [ f ]
-let engaged_count t = t.engaged
-let rearmed_count t = t.rearmed
+let engaged_count t = Counters.get_h (Machine.counters t.machine) t.h_engaged
+let rearmed_count t = Counters.get_h (Machine.counters t.machine) t.h_rearmed
 let events t = t.total
 let latency_hist t = t.latency
 
 let rearm t =
   t.degraded <- false;
   Queue.clear t.window;
-  t.rearmed <- t.rearmed + 1;
   Counters.incr_h (Machine.counters t.machine) t.h_rearmed;
   Trace.emit (Machine.trace t.machine) ~time:(Sim.now t.sim)
     ~category:Trace.Cat.degraded "rearm";
@@ -86,7 +81,6 @@ let rec schedule_quiet_check t (r : Config.resilience) =
 
 let engage t r =
   t.degraded <- true;
-  t.engaged <- t.engaged + 1;
   Counters.incr_h (Machine.counters t.machine) t.h_engaged;
   Trace.emitf (Machine.trace t.machine) ~time:(Sim.now t.sim)
     ~category:Trace.Cat.degraded "engage events_in_window=%d"
@@ -105,7 +99,6 @@ let force_engage t =
     Counters.incr_h (Machine.counters t.machine) t.h_forced;
     if not t.degraded then begin
       t.degraded <- true;
-      t.engaged <- t.engaged + 1;
       Counters.incr_h (Machine.counters t.machine) t.h_engaged;
       Trace.emit (Machine.trace t.machine) ~time:(Sim.now t.sim)
         ~category:Trace.Cat.degraded "engage forced=overload";

@@ -60,7 +60,10 @@ val on_rearm : t -> (unit -> unit) -> unit
     period. *)
 
 val engaged_count : t -> int
+(** A view of [recovery.degraded.engaged]. *)
+
 val rearmed_count : t -> int
+(** A view of [recovery.degraded.rearmed]. *)
 
 val events : t -> int
 (** Total recovery events noted since creation. *)

@@ -78,14 +78,6 @@ type t = {
   mutable place_gate : (int -> bool) option;
       (* overload governor's per-tenant admission gate for placements;
          [None] = open *)
-  mutable s_placements : int;
-  mutable s_probe_evictions : int;
-  mutable s_pending_evictions : int;
-  mutable s_halt_exits : int;
-  mutable s_rotations : int;
-  mutable s_lock_rescues : int;
-  mutable s_borrows : int;
-  mutable s_unsafe : int;
 }
 
 let initial_slice = Time_ns.us 50
@@ -277,7 +269,6 @@ and back_on_core t v core ~cause =
   v.Vcpu.placement <- Vcpu.On_core core;
   v.Vcpu.last_placed <- Sim.now t.sim;
   Kernel.set_backing_core t.kernel (kcpu_of t v) (Some core);
-  t.s_placements <- t.s_placements + 1;
   count_v t v t.cells.c_placements;
   if tracing t then
     emitf t ~core ~category:Trace.Cat.sched_place "vid=%d kcpu=%d" v.Vcpu.vid
@@ -385,10 +376,7 @@ and evict_to_dp t v core ~cause =
   let lock_bound = match cur with Some task -> Task.nonpreemptible task | None -> false in
   if lock_bound && t.config.Config.lock_safe_resched then rescue t v
   else begin
-    if lock_bound then begin
-      t.s_unsafe <- t.s_unsafe + 1;
-      count t t.cells.h_unsafe
-    end;
+    if lock_bound then count t t.cells.h_unsafe;
     (* The VM-exit acts as a scheduling tick inside the guest context: a
        preemptible current task returns to the runqueue, where idle CP
        pCPUs can steal it instead of waiting for the vCPU's next slot. *)
@@ -403,7 +391,6 @@ and evict_to_dp t v core ~cause =
 (* Direct vCPU-to-vCPU switch: the core stays in V-state. *)
 and switch_vcpu t ~from_v ~to_v core ~cause =
   unback t from_v core;
-  t.s_rotations <- t.s_rotations + 1;
   count t t.cells.h_rotations;
   if tracing t then
     emitf t ~core ~category:Trace.Cat.sched_rotate "from=%d to=%d"
@@ -424,7 +411,6 @@ and on_slice_expiry t core =
         emitf t ~core ~category:Trace.Cat.sched_slice "vid=%d pending=%b"
           v.Vcpu.vid pending;
       if pending then begin
-        t.s_pending_evictions <- t.s_pending_evictions + 1;
         v.Vcpu.slice <- initial_slice;
         (* Only a yield evicted almost immediately was a false positive;
            an eviction after a long donated stretch is a successful yield
@@ -462,7 +448,6 @@ and continue_or_halt t v core =
 
 and halt_exit t v core =
   Vcpu.record_exit v Vmexit.Halt;
-  t.s_halt_exits <- t.s_halt_exits + 1;
   count_v t v t.cells.c_halt_exits;
   if tracing t then
     emitf t ~core ~category:Trace.Cat.sched_halt "vid=%d" v.Vcpu.vid;
@@ -474,9 +459,8 @@ and halt_exit t v core =
 
 (* [rescue] is the counted entry point: one lock-context rescue event per
    eviction, however many placement retries it takes. The retry timer loops
-   through [do_rescue] so re-entries do not inflate [s_lock_rescues]. *)
+   through [do_rescue] so re-entries do not inflate [sched.rescues]. *)
 and rescue t v =
-  t.s_lock_rescues <- t.s_lock_rescues + 1;
   count t t.cells.h_rescues;
   if tracing t then
     emitf t ~core:Trace.no_core ~category:Trace.Cat.sched_rescue "vid=%d"
@@ -512,7 +496,6 @@ and borrow_cp_pcpu t v =
   match free_cp with
   | [] ->
       if t.cp_pcpus = [] then begin
-        t.s_unsafe <- t.s_unsafe + 1;
         count t t.cells.h_unsafe;
         mark_runnable t v
       end
@@ -527,7 +510,6 @@ and borrow_cp_pcpu t v =
                then do_rescue t v))
       end
   | cp_list ->
-      t.s_borrows <- t.s_borrows + 1;
       count t t.cells.h_borrows;
       Hashtbl.replace t.borrowing v.Vcpu.vid ();
       let n = List.length cp_list in
@@ -599,7 +581,6 @@ let on_probe_irq t ~core =
   | None -> ()
   | Some v ->
       Vcpu.record_exit v Vmexit.Hw_probe_irq;
-      t.s_probe_evictions <- t.s_probe_evictions + 1;
       v.Vcpu.slice <- initial_slice;
       if Sim.now t.sim - v.Vcpu.last_placed < short_yield then
         Sw_probe.on_false_positive t.sw ~core
@@ -670,7 +651,6 @@ let force_end_borrow t v cp_id =
   v.Vcpu.placement <- Vcpu.Unplaced;
   Hashtbl.remove t.borrowing v.Vcpu.vid;
   Hashtbl.remove t.borrowed_cores cp_id;
-  t.s_unsafe <- t.s_unsafe + 1;
   count t t.cells.h_unsafe;
   if tracing t then
     emitf t ~core:cp_id ~category:Trace.Cat.sched_borrow
@@ -920,14 +900,6 @@ let create ?tenants config machine kernel softirq sw table recovery =
       cp_pcpus = [];
       next_borrow = 0;
       place_gate = None;
-      s_placements = 0;
-      s_probe_evictions = 0;
-      s_pending_evictions = 0;
-      s_halt_exits = 0;
-      s_rotations = 0;
-      s_lock_rescues = 0;
-      s_borrows = 0;
-      s_unsafe = 0;
     }
   in
   Kernel.set_work_available_hook kernel (fun kcpu_id -> on_work_available t kcpu_id);
@@ -1065,7 +1037,6 @@ let force_evict_tenant t ~tenant =
           unback t v core;
           transition t ~core ~cause:Core_state.Watchdog
             (Core_state.Switching Core_state.To_dp);
-          t.s_unsafe <- t.s_unsafe + 1;
           count t t.cells.h_unsafe;
           Dp_service.resume (dp_on t core)
             ~switch_cost:world_switch
@@ -1108,13 +1079,15 @@ let quiesce_violations t ~tenant =
 let retire_tenant t ~tenant = Wsched.retire t.runq ~tenant
 
 let stats t =
+  let get h = Counters.get_h t.ctr h in
+  let c = t.cells in
   {
-    placements = t.s_placements;
-    probe_evictions = t.s_probe_evictions;
-    pending_evictions = t.s_pending_evictions;
-    halt_exits = t.s_halt_exits;
-    rotations = t.s_rotations;
-    lock_rescues = t.s_lock_rescues;
-    borrows = t.s_borrows;
-    unsafe_suspensions = t.s_unsafe;
+    placements = get c.c_placements.ch;
+    probe_evictions = get c.c_evict_probe.ch;
+    pending_evictions = get c.c_evict_pending.ch;
+    halt_exits = get c.c_halt_exits.ch;
+    rotations = get c.h_rotations;
+    lock_rescues = get c.h_rescues;
+    borrows = get c.h_borrows;
+    unsafe_suspensions = get c.h_unsafe;
   }

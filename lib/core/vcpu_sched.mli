@@ -151,16 +151,26 @@ val quiesce_violations : t -> tenant:int -> string list
     drain poll and the zero-orphan audit. *)
 
 type stats = {
-  placements : int;  (** vCPU switched onto a data-plane core *)
+  placements : int;
+      (** vCPU switched onto a data-plane core: [sched.placements] *)
   probe_evictions : int;
-  pending_evictions : int;  (** evicted at slice expiry with work waiting *)
-  halt_exits : int;
-  rotations : int;  (** direct vCPU-to-vCPU switches *)
-  lock_rescues : int;  (** §4.1 safe rescheduling events *)
-  borrows : int;  (** rescues that had to borrow a CP pCPU *)
+      (** evicted by a hardware-probe IRQ: [sched.evictions.probe] *)
+  pending_evictions : int;
+      (** evicted at slice expiry with work waiting:
+          [sched.evictions.pending] *)
+  halt_exits : int;  (** [sched.halt_exits] *)
+  rotations : int;
+      (** direct vCPU-to-vCPU switches: [sched.rotations] *)
+  lock_rescues : int;
+      (** §4.1 safe rescheduling events: [sched.rescues] *)
+  borrows : int;
+      (** rescues that had to borrow a CP pCPU: [sched.borrows] *)
   unsafe_suspensions : int;
       (** evictions that left a lock-holder unbacked (only with
-          [lock_safe_resched = false]) *)
+          [lock_safe_resched = false]): [sched.unsafe_suspensions] *)
 }
 
 val stats : t -> stats
+(** A view of the machine's counter registry: each field reads the
+    global (not per-tenant) counter named in its doc, so it always equals
+    [Counters.get] of that name. *)

@@ -47,7 +47,6 @@ type t = {
   mutable park_dwell : Time_ns.t;  (** cumulative parked (Idle_parked) time *)
   mutable resuming : bool;
   mutable bursts : int;
-  mutable yields : int;
   mutable spikes : int;  (** completions slower than [spike_threshold] *)
   mutable latency_sink : (Time_ns.t -> unit) option;
   (* dp.* counter cells, interned at [create]: the global handle and the
@@ -242,7 +241,6 @@ let create machine pipeline config =
       park_dwell = 0;
       resuming = false;
       bursts = 0;
-      yields = 0;
       spikes = 0;
       c_parks = cell "dp.parks";
       c_wakes = cell "dp.wakes";
@@ -310,7 +308,6 @@ let try_yield t =
          (the vCPU scheduler, or the kernel under co-schedule policies)
          performs the next transition. *)
       transition t ~cause:Core_state.Yield (Core_state.Switching Core_state.From_dp);
-      t.yields <- t.yields + 1;
       count t t.c_yields;
       if tracing t then emit t ~category:Trace.Cat.dp_yield "core given up";
       true
@@ -345,7 +342,6 @@ let resume t ~switch_cost =
 let latency t = t.latency
 let packets_processed t = Recorder.count t.latency
 let bursts t = t.bursts
-let yields t = t.yields
 let spikes t = t.spikes
 let empty_poll_time t = t.poll_dwell
 let parked_time t = t.park_dwell

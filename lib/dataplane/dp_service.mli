@@ -130,8 +130,6 @@ val packets_processed : t -> int
 
 val bursts : t -> int  (** non-empty ring polls, each one batch *)
 
-val yields : t -> int  (** times this service gave its core up *)
-
 val spikes : t -> int  (** packets slower than [spike_threshold] *)
 
 val empty_poll_time : t -> Time_ns.t

@@ -12,7 +12,17 @@
 
     A counter only materialises (appears in {!dump}) once it has been
     incremented — registering a handle alone leaves it invisible, and
-    {!get} on it reads 0. *)
+    {!get} on it reads 0.
+
+    {b One tally per event.} A module that counts an event here keeps no
+    private [mutable int] for the same event: its public accessor reads
+    the handle back with {!get_h}, so the accessor and the exported
+    counter cannot disagree. Modules keep a local tally only for events
+    with no machine-wide counter (IPI orchestrator routing, ring, pipeline
+    and state-table statistics, LAPIC and raw IPI sends and drops, kernel
+    slice expiries, per-core software-probe false positives, per-service
+    bursts, spikes and packets): registering a counter for them would add
+    names to every exported trace. *)
 
 type t
 

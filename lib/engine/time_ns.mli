@@ -46,4 +46,4 @@ val pp : Format.formatter -> t -> unit
 (** [pp fmt t] prints [t] with an adaptive unit (ns, µs, ms or s). *)
 
 val to_string : t -> string
-(** [to_string t] is [Fmt.str "%a" pp t]. *)
+(** [to_string t] is [Format.asprintf "%a" pp t]. *)

@@ -129,7 +129,6 @@ type t = {
   mutable churn_depart : (unit -> unit) option;
   mutable churn_arrive : (unit -> unit) option;
   mutable churn_overrun : (unit -> unit) option;
-  mutable boot_dropped : int;
   mutable until : Time_ns.t;
   mutable stopped : bool;
   h_boot_dropped : Counters.handle;
@@ -160,10 +159,9 @@ let fabric_fault t ~dst ~vector =
        guaranteed to converge — unbounded 50% loss could (rarely but
        measurably) outlast any finite retry schedule. *)
     if
-      t.boot_dropped < t.profile.boot_drop_max
+      Counters.get_h (counters t) t.h_boot_dropped < t.profile.boot_drop_max
       && Rng.bernoulli t.boot_rng ~p:t.profile.boot_drop_p
     then begin
-      t.boot_dropped <- t.boot_dropped + 1;
       Counters.incr_h (counters t) t.h_boot_dropped;
       Machine.Drop
     end
@@ -206,7 +204,6 @@ let create ?nic ~rng ~machine ~boot_vector profile =
       churn_depart = None;
       churn_arrive = None;
       churn_overrun = None;
-      boot_dropped = 0;
       until = max_int;
       stopped = false;
       h_boot_dropped = h "fault.boot.dropped";

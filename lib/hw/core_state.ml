@@ -51,8 +51,9 @@ type t = {
   mutable mode : mode;
   mutable subscribers : (event -> unit) list;
   mutable invariants : (string * (unit -> string list)) list;
-  mutable transitions : int;
-  mutable illegal : int;
+  ctr : Counters.t;
+  h_transitions : Counters.handle;  (* core_state.transitions *)
+  h_illegal : Counters.handle;  (* core_state.illegal *)
 }
 
 (* One dwell slot per state constructor; [Vcpu_running] and [Switching]
@@ -68,7 +69,7 @@ let state_index = function
   | Switching _ -> 5
   | Cp_dedicated -> 6
 
-let create ~cores ~now =
+let create ?(counters = Counters.create ()) ~cores ~now () =
   if cores <= 0 then invalid_arg "Core_state.create: cores must be positive";
   {
     now;
@@ -78,8 +79,9 @@ let create ~cores ~now =
     mode = Strict;
     subscribers = [];
     invariants = [];
-    transitions = 0;
-    illegal = 0;
+    ctr = counters;
+    h_transitions = Counters.handle counters "core_state.transitions";
+    h_illegal = Counters.handle counters "core_state.illegal";
   }
 
 let cores t = Array.length t.states
@@ -179,19 +181,19 @@ let transition t ~core ~cause to_ =
   if not is_legal then begin
     if t.mode = Strict then
       raise (Illegal_transition (describe core from to_ cause));
-    t.illegal <- t.illegal + 1
+    Counters.incr_h t.ctr t.h_illegal
   end;
   add_dwell t core from (at - t.since.(core));
   t.states.(core) <- to_;
   t.since.(core) <- at;
-  t.transitions <- t.transitions + 1;
+  Counters.incr_h t.ctr t.h_transitions;
   let ev = { core; from_state = from; to_state = to_; cause; at; legal = is_legal }
   in
   fan_out ev t.subscribers
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
-let transitions t = t.transitions
-let illegal_transitions t = t.illegal
+let transitions t = Counters.get_h t.ctr t.h_transitions
+let illegal_transitions t = Counters.get_h t.ctr t.h_illegal
 
 (* A representative state per slot, listed in label order: [dwell]'s
    output is sorted by label and holds a label iff its dwell is > 0. *)
@@ -227,8 +229,9 @@ let add_invariant t ~name f = t.invariants <- t.invariants @ [ (name, f) ]
 
 let audit t =
   let base =
-    if t.illegal > 0 then
-      [ Printf.sprintf "%d illegal transition(s) recorded" t.illegal ]
+    let illegal = illegal_transitions t in
+    if illegal > 0 then
+      [ Printf.sprintf "%d illegal transition(s) recorded" illegal ]
     else []
   in
   base

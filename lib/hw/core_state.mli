@@ -74,10 +74,13 @@ exception Illegal_transition of string
 
 type t
 
-val create : cores:int -> now:(unit -> Time_ns.t) -> t
-(** [create ~cores ~now] is a state machine for cores [0..cores-1], all
+val create :
+  ?counters:Counters.t -> cores:int -> now:(unit -> Time_ns.t) -> unit -> t
+(** [create ~cores ~now ()] is a state machine for cores [0..cores-1], all
     [Offline], in {!Strict} mode. [now] supplies timestamps for events and
-    dwell accounting (normally [fun () -> Sim.now sim]). *)
+    dwell accounting (normally [fun () -> Sim.now sim]). Transitions are
+    counted into [counters] (the machine's registry; a private table by
+    default) as [core_state.transitions] and [core_state.illegal]. *)
 
 val cores : t -> int
 val mode : t -> mode
@@ -106,11 +109,13 @@ val subscribe : t -> (event -> unit) -> unit
     deterministic total order relied on by the trace and the mirror. *)
 
 val transitions : t -> int
-(** Total transitions applied since creation. *)
+(** Total transitions applied since creation: a view of
+    [core_state.transitions]. *)
 
 val illegal_transitions : t -> int
 (** Illegal transitions observed (only non-zero in {!Permissive} mode,
-    since {!Strict} raises before recording). *)
+    since {!Strict} raises before recording): a view of
+    [core_state.illegal]. *)
 
 val dwell : t -> core:int -> (string * Time_ns.t) list
 (** [dwell t ~core] is cumulative time spent per state label (sorted by

@@ -21,8 +21,6 @@ type t = {
   mutable fault_hook : (dst:int -> vector:Lapic.vector -> fault) option;
   mutable sent : int;
   mutable dropped : int;
-  mutable fault_dropped : int;
-  mutable fault_delayed : int;
   h_ipi_dropped : Counters.handle;
   h_ipi_delayed : Counters.handle;
 }
@@ -34,10 +32,10 @@ let create ?(config = default_config) ?trace sim =
     | None -> Trace.create ~limit:2_000_000 ~enabled:false ()
   in
   let counters = Counters.create () in
-  let h_transitions = Counters.handle counters "core_state.transitions" in
-  let h_illegal = Counters.handle counters "core_state.illegal" in
   let core_state =
-    Core_state.create ~cores:config.physical_cores ~now:(fun () -> Sim.now sim)
+    Core_state.create ~counters ~cores:config.physical_cores
+      ~now:(fun () -> Sim.now sim)
+      ()
   in
   (* The machine's own subscriber is where [core.state] trace records come
      from: occupancy is derived from authoritative transitions, never
@@ -47,8 +45,6 @@ let create ?(config = default_config) ?trace sim =
      and the timeline fold over it — free of zero-information records. *)
   let last_emitted = Array.make config.physical_cores Trace.Cat.state_idle in
   Core_state.subscribe core_state (fun ev ->
-      Counters.incr_h counters h_transitions;
-      if not ev.Core_state.legal then Counters.incr_h counters h_illegal;
       let bucket = Core_state.trace_state ev.Core_state.to_state in
       let core = ev.Core_state.core in
       if not (String.equal bucket last_emitted.(core)) then begin
@@ -69,8 +65,6 @@ let create ?(config = default_config) ?trace sim =
     fault_hook = None;
     sent = 0;
     dropped = 0;
-    fault_dropped = 0;
-    fault_delayed = 0;
     h_ipi_dropped = Counters.handle counters "fault.ipi.dropped";
     h_ipi_delayed = Counters.handle counters "fault.ipi.delayed";
   }
@@ -117,12 +111,10 @@ let deliver_raw t ~dst ~vector =
           match hook ~dst ~vector with
           | Pass -> deliver_after 0
           | Drop ->
-              t.fault_dropped <- t.fault_dropped + 1;
               Counters.incr_h t.counters t.h_ipi_dropped;
               Trace.emitf t.trace ~time:(Sim.now t.sim) ~category:Trace.Cat.fault
                 "ipi drop dst=%d vec=%d" dst vector
           | Delay extra ->
-              t.fault_delayed <- t.fault_delayed + 1;
               Counters.incr_h t.counters t.h_ipi_delayed;
               Trace.emitf t.trace ~time:(Sim.now t.sim) ~category:Trace.Cat.fault
                 "ipi delay dst=%d vec=%d extra=%d" dst vector extra;
@@ -140,5 +132,5 @@ let send_ipi t ~src ~dst ~vector =
 
 let ipis_sent t = t.sent
 let ipis_dropped t = t.dropped
-let ipis_fault_dropped t = t.fault_dropped
-let ipis_fault_delayed t = t.fault_delayed
+let ipis_fault_dropped t = Counters.get_h t.counters t.h_ipi_dropped
+let ipis_fault_delayed t = Counters.get_h t.counters t.h_ipi_delayed

@@ -93,6 +93,8 @@ val ipis_dropped : t -> int
 
 val ipis_fault_dropped : t -> int
 (** IPIs lost to the injected-fault hook (distinct from {!ipis_dropped},
-    which counts sends to unregistered destinations). *)
+    which counts sends to unregistered destinations): a view of
+    [fault.ipi.dropped]. *)
 
 val ipis_fault_delayed : t -> int
+(** A view of [fault.ipi.delayed]. *)

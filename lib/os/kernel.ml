@@ -50,15 +50,7 @@ type cpu = {
 }
 
 
-type stats = {
-  context_switches : int;
-  preemptions : int;
-  deferred_preemptions : int;
-  steals : int;
-  migrations : int;
-  slice_expiries : int;
-  reclaim_waits : int;
-}
+type stats = { context_switches : int; steals : int; slice_expiries : int }
 
 type t = {
   sim : Sim.t;
@@ -75,14 +67,7 @@ type t = {
   mutable work_available_hook : int -> unit;
   mutable cpu_idle_hook : int -> unit;
   mutable task_done_hook : Task.t -> unit;
-  mutable s_context_switches : int;
-  mutable s_preemptions : int;
-  mutable s_deferred : int;
-  mutable s_steals : int;
-  mutable s_migrations : int;
-  mutable s_slice_expiries : int;
-  mutable s_reclaim_waits : int;
-  mutable s_cancellations : int;
+  mutable s_slice_expiries : int;  (* no registry counter: a local tally *)
   mutable s_max_deferred_wait : Time_ns.t;
   (* kernel.* counter handles, interned at [create]: per-event increments
      (context switches, steals) must not hash strings. *)
@@ -105,14 +90,7 @@ let create ?(config = default_config) machine =
     work_available_hook = (fun _ -> ());
     cpu_idle_hook = (fun _ -> ());
     task_done_hook = (fun _ -> ());
-    s_context_switches = 0;
-    s_preemptions = 0;
-    s_deferred = 0;
-    s_steals = 0;
-    s_migrations = 0;
     s_slice_expiries = 0;
-    s_reclaim_waits = 0;
-    s_cancellations = 0;
     s_max_deferred_wait = 0;
     h_context_switches = h "kernel.context_switches";
     h_steals = h "kernel.steals";
@@ -143,14 +121,11 @@ let set_cpu_idle_hook t f = t.cpu_idle_hook <- f
 let set_task_done_hook t f = t.task_done_hook <- f
 
 let stats t =
+  let get = Counters.get_h (Machine.counters t.machine) in
   {
-    context_switches = t.s_context_switches;
-    preemptions = t.s_preemptions;
-    deferred_preemptions = t.s_deferred;
-    steals = t.s_steals;
-    migrations = t.s_migrations;
+    context_switches = get t.h_context_switches;
+    steals = get t.h_steals;
     slice_expiries = t.s_slice_expiries;
-    reclaim_waits = t.s_reclaim_waits;
   }
 
 let max_deferred_wait t = t.s_max_deferred_wait
@@ -236,7 +211,6 @@ let rec dispatch t c =
                    dispatch t c));
         t.cpu_idle_hook c.cid
     | Some task ->
-        t.s_context_switches <- t.s_context_switches + 1;
         count t t.h_context_switches;
         c.cur <- Some task;
         task.Task.state <- Task.Running;
@@ -314,7 +288,6 @@ and try_steal t c =
     in
     (match found with
     | Some task ->
-        t.s_steals <- t.s_steals + 1;
         count t t.h_steals;
         if tracing t then
           Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
@@ -339,10 +312,7 @@ and slice_expiry t c =
   | Some task ->
       t.s_slice_expiries <- t.s_slice_expiries + 1;
       if runqueue_length c > 0 then begin
-        if Task.nonpreemptible task then begin
-          c.need_resched <- true;
-          t.s_deferred <- t.s_deferred + 1
-        end
+        if Task.nonpreemptible task then c.need_resched <- true
         else requeue_current t c
       end
       else arm_slice t c
@@ -351,7 +321,6 @@ and requeue_current t c =
   match c.cur with
   | None -> ()
   | Some task ->
-      t.s_preemptions <- t.s_preemptions + 1;
       pause_run t c;
       task.Task.state <- Task.Runnable;
       c.cur <- None;
@@ -382,7 +351,6 @@ and run_ops t c task guard =
      preemptible Run remainder is discarded. *)
   if task.Task.cancelled && not (Task.nonpreemptible task) then begin
     Hashtbl.remove t.pending task.Task.tid;
-    t.s_cancellations <- t.s_cancellations + 1;
     count t t.h_cancellations;
     exit_task t c task
   end
@@ -501,7 +469,6 @@ and after_np_boundary t c task guard =
   else run_ops t c task (guard + 1)
 
 and migrate_out t c task =
-  t.s_migrations <- t.s_migrations + 1;
   count t t.h_migrations;
   if tracing t then
     Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
@@ -531,7 +498,6 @@ and grant_reclaims t c =
   List.iter
     (fun task ->
       task.Task.cpu <- None;
-      t.s_migrations <- t.s_migrations + 1;
       place_task t ~src:c.cid task)
     (List.rev !drained);
   let cbs = List.rev c.reclaimers in
@@ -624,10 +590,7 @@ let on_resched t c =
   | Some task ->
       let rt_waiting = not (Queue.is_empty c.rq_rt) in
       if rt_waiting && task.Task.prio = Task.Normal then begin
-        if Task.nonpreemptible task then begin
-          c.need_resched <- true;
-          t.s_deferred <- t.s_deferred + 1
-        end
+        if Task.nonpreemptible task then c.need_resched <- true
         else requeue_current t c
       end
 
@@ -748,8 +711,6 @@ let reclaim t c ~on_granted =
       grant_reclaims t c
   | Some task ->
       if Task.nonpreemptible task then begin
-        t.s_reclaim_waits <- t.s_reclaim_waits + 1;
-        t.s_deferred <- t.s_deferred + 1;
         if c.reclaimers = [] then c.reclaim_requested_at <- Sim.now t.sim;
         c.reclaimers <- on_granted :: c.reclaimers
       end

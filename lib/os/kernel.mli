@@ -131,21 +131,30 @@ val set_cpu_idle_hook : t -> (int -> unit) -> unit
 val set_task_done_hook : t -> (Task.t -> unit) -> unit
 (** Called when any task exits. *)
 
-(** {1 Statistics} *)
+(** {1 Statistics}
+
+    The kernel counts into the machine's counter registry
+    ({!Machine.counters}), which the trace export reads:
+    - [kernel.context_switches]: a dispatch put a task on a CPU;
+    - [kernel.steals]: an idle CPU pulled a queued task from another;
+    - [kernel.migrations]: a {e running} task was moved off a CPU being
+      reclaimed. Queued tasks flushed to other CPUs when the reclaim is
+      granted are not migrations;
+    - [kernel.cancellations]: a cancelled task exited at a preemptible
+      boundary;
+    - [kernel.reclaims]: a reclaim was granted. *)
 
 type stats = {
-  context_switches : int;
-  preemptions : int;
-  deferred_preemptions : int;
-      (** preemption requests that had to wait for a non-preemptible
-          routine *)
-  steals : int;
-  migrations : int;
+  context_switches : int;  (** [kernel.context_switches] *)
+  steals : int;  (** [kernel.steals] *)
   slice_expiries : int;
-  reclaim_waits : int;  (** reclaims that could not be granted instantly *)
+      (** normal-task slice timers that fired; a local tally with no
+          registry counter *)
 }
 
 val stats : t -> stats
+(** [context_switches] and [steals] are views of the registry: each
+    equals [Counters.get] of the counter named in its doc. *)
 
 val max_deferred_wait : t -> Time_ns.t
 (** Longest observed delay between a reclaim request and its grant — the

@@ -16,7 +16,6 @@ type t = {
   dispatch_cost : Time_ns.t;
   mutable slots : slot list array;  (* indexed by cpu *)
   h_raised : Counters.handle;
-  mutable raised : int;
   mutable handled : int;
   mutable coalesced : int;
 }
@@ -30,7 +29,6 @@ let create ?(dispatch_cost = Time_ns.ns 200) machine =
     dispatch_cost;
     slots = Array.make (Machine.physical_cores machine) [];
     h_raised = Counters.handle (Machine.counters machine) "softirq.raised";
-    raised = 0;
     handled = 0;
     coalesced = 0;
   }
@@ -60,7 +58,6 @@ let slot t ~cpu ~vector =
 let register t ~cpu ~vector f = (slot t ~cpu ~vector).handler <- Some f
 
 let raise_softirq t ~cpu ~vector =
-  t.raised <- t.raised + 1;
   Counters.incr_h (Machine.counters t.machine) t.h_raised;
   let trace = Machine.trace t.machine in
   if Trace.enabled trace then begin
@@ -90,6 +87,6 @@ let raise_softirq t ~cpu ~vector =
 let pending t ~cpu ~vector =
   match find t ~cpu ~vector with Some s -> s.pending | None -> false
 
-let raised_count t = t.raised
+let raised_count t = Counters.get_h (Machine.counters t.machine) t.h_raised
 let handled_count t = t.handled
 let coalesced_count t = t.coalesced

@@ -31,5 +31,7 @@ val raise_softirq : t -> cpu:int -> vector:int -> unit
 val pending : t -> cpu:int -> vector:int -> bool
 
 val raised_count : t -> int
+(** A view of the machine counter [softirq.raised]. *)
+
 val handled_count : t -> int
 val coalesced_count : t -> int

@@ -423,6 +423,86 @@ let test_watchdog_off_when_unarmed () =
   in
   checki "no recovery.watchdog.* counter" 0 (List.length watchdog)
 
+(* --- accessor views of the counter registry ---------------------------------------- *)
+
+(* Every public event accessor is a view of the machine's counter
+   registry, so it must equal [Counters.get] of its name. One short run
+   with resilience, the governor (thresholds low enough to climb the
+   ladder) and the storm fault profile armed exercises them all. *)
+let test_accessors_read_registry () =
+  let open Taichi_hw in
+  let open Taichi_faults in
+  let overload =
+    {
+      Config.default_overload with
+      Config.busy_high = 0.2;
+      busy_low = 0.1;
+      runq_high = 1;
+      runq_low = 0;
+      p99_bound = Time_ns.us 20;
+    }
+  in
+  let config =
+    { (Config.resilient Config.default) with Config.overload = Some overload }
+  in
+  let injector = ref None in
+  let prepare machine =
+    injector :=
+      Some
+        (Injector.create ~rng:(Rng.create ~seed:7) ~machine
+           ~boot_vector:Kernel.default_config.Kernel.boot_vector Injector.storm)
+  in
+  let sys = System.create ~seed:7 ~prepare (Policy.Taichi config) in
+  System.warmup sys;
+  let tc = get_taichi sys in
+  let until = Sim.now (System.sim sys) + Time_ns.ms 10 in
+  Injector.arm (Option.get !injector) ~until;
+  Exp_common.start_bg_dp sys ~target:0.6 ~until;
+  Exp_common.start_bg_cp sys;
+  Exp_common.start_cp_churn sys ~period:(Time_ns.ms 1) ~work:(Time_ns.ms 8)
+    ~until;
+  System.advance sys (Time_ns.ms 12);
+  let m = System.machine sys in
+  let get = Counters.get (Machine.counters m) in
+  let views name v = checki name (get name) v in
+  let s = Vcpu_sched.stats (Taichi.scheduler tc) in
+  views "sched.placements" s.Vcpu_sched.placements;
+  views "sched.evictions.probe" s.Vcpu_sched.probe_evictions;
+  views "sched.evictions.pending" s.Vcpu_sched.pending_evictions;
+  views "sched.halt_exits" s.Vcpu_sched.halt_exits;
+  views "sched.rotations" s.Vcpu_sched.rotations;
+  views "sched.rescues" s.Vcpu_sched.lock_rescues;
+  views "sched.borrows" s.Vcpu_sched.borrows;
+  views "sched.unsafe_suspensions" s.Vcpu_sched.unsafe_suspensions;
+  let k = Kernel.stats (System.kernel sys) in
+  views "kernel.context_switches" k.Kernel.context_switches;
+  views "kernel.steals" k.Kernel.steals;
+  views "probe.hw.triggers" (Hw_probe.triggers (Taichi.hw_probe tc));
+  views "probe.hw.suppressed" (Hw_probe.suppressed (Taichi.hw_probe tc));
+  views "softirq.raised" (Softirq.raised_count (Taichi.softirq tc));
+  views "recovery.degraded.engaged" (Recovery.engaged_count (Taichi.recovery tc));
+  views "recovery.degraded.rearmed" (Recovery.rearmed_count (Taichi.recovery tc));
+  views "fault.ipi.dropped" (Machine.ipis_fault_dropped m);
+  views "fault.ipi.delayed" (Machine.ipis_fault_delayed m);
+  let cs = Machine.core_state m in
+  views "core_state.transitions" (Core_state.transitions cs);
+  views "core_state.illegal" (Core_state.illegal_transitions cs);
+  let ov = Option.get (Taichi.overload tc) in
+  views "overload.transitions" (Overload.transitions ov);
+  views "overload.escalations" (Overload.escalations ov);
+  views "overload.relaxes" (Overload.relaxes ov);
+  List.iter
+    (fun cls ->
+      views ("overload.shed." ^ Tenant.cls_name cls) (Overload.shed ov cls))
+    Tenant.all_classes;
+  (* Not vacuous: the run exercised the main event kinds. *)
+  let positive name v = checkb (name ^ " > 0") true (v > 0) in
+  positive "placements" s.Vcpu_sched.placements;
+  positive "context switches" k.Kernel.context_switches;
+  positive "core-state transitions" (Core_state.transitions cs);
+  positive "probe triggers" (Hw_probe.triggers (Taichi.hw_probe tc));
+  positive "overload transitions" (Overload.transitions ov)
+
 let suite =
   [
     ("config ablations", `Quick, test_config_ablations);
@@ -449,4 +529,5 @@ let suite =
       `Quick,
       check_watchdog_escalates (Config.with_overload Config.default) );
     ("watchdog off when neither armed", `Quick, test_watchdog_off_when_unarmed);
+    ("accessors read the counter registry", `Quick, test_accessors_read_registry);
   ]

@@ -70,7 +70,7 @@ let test_legality_matrix () =
 
 let make ?(cores = 2) () =
   let clock = ref 0 in
-  let t = create ~cores ~now:(fun () -> !clock) in
+  let t = create ~cores ~now:(fun () -> !clock) () in
   (clock, t)
 
 let test_transition_applies () =

@@ -886,6 +886,13 @@ let test_counters () =
     "dump sorted by name"
     [ ("a.one", 4); ("b.two", 2) ]
     (Counters.dump c);
+  (* Accessor views read handles whose event may never fire in a run:
+     registered but untouched must read 0 and stay out of the dump. *)
+  let idle = Counters.handle c "c.idle" in
+  checki "untouched handle reads 0" 0 (Counters.get_h c idle);
+  Alcotest.(check (list string))
+    "untouched handle absent from dump" [ "a.one"; "b.two" ]
+    (List.map fst (Counters.dump c));
   Counters.clear c;
   checki "cleared" 0 (Counters.get c "a.one")
 

@@ -86,7 +86,7 @@ let prop_dwell_reference =
         (triple (int_bound 1) (int_bound 50) (int_bound 100)))
     (fun steps ->
       let now = ref 0 in
-      let cs = Core_state.create ~cores:2 ~now:(fun () -> !now) in
+      let cs = Core_state.create ~cores:2 ~now:(fun () -> !now) () in
       let refs = Array.init 2 (fun _ -> Hashtbl.create 8) in
       let since = Array.make 2 0 in
       let agree () =
