@@ -312,10 +312,13 @@ let report_fullwork () =
 
 (* --- per-op microbenches ------------------------------------------------------ *)
 
-(* Hand-timed loops: every row reports ns/op (varies run to run) and
-   minor words/op (deterministic). The allocation-free contracts of the
-   handle, lane and arena paths are tier-1 tests (test/test_hotpath.ml);
-   here they are only reported. *)
+(* Hand-timed loops: every row reports ns/op (varies run to run), minor
+   words/op and major words/op (both deterministic). Major words are the
+   blocks too large for the minor heap (over 256 words), which OCaml
+   allocates straight in the major heap: a create row's fixed footprint
+   shows there, not in minor words. The allocation-free contracts of the
+   handle, lane and arena paths and the footprint ceilings are tier-1
+   tests (test/test_hotpath.ml); here they are only reported. *)
 let time_loop n f =
   let t0 = Unix.gettimeofday () in
   for i = 0 to n - 1 do
@@ -323,20 +326,28 @@ let time_loop n f =
   done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
 
-let minor_words_loop n f =
+(* Words allocated per op: (minor, direct major). [Gc.counters] boxes its
+   result, so it is read outside the [Gc.minor_words] window; promoted
+   words count in both its promoted and major totals and cancel. *)
+let words_loop n f =
+  let _, p0, m0 = Gc.counters () in
   let w0 = Gc.minor_words () in
   for i = 0 to n - 1 do
     f i
   done;
-  (Gc.minor_words () -. w0) /. float_of_int n
+  let w1 = Gc.minor_words () in
+  let _, p1, m1 = Gc.counters () in
+  let per x = x /. float_of_int n in
+  (per (w1 -. w0), per (m1 -. m0 -. (p1 -. p0)))
 
-type row = { op : string; ops : int; ns : float; words : float }
+type row = { op : string; ops : int; ns : float; words : float; major : float }
 
 let measure (op, ops, f) =
   let ns = time_loop ops f in
-  let words = minor_words_loop ops f in
-  Printf.printf "  %-24s %10.1f ns/op  %8.3f minor words/op\n" op ns words;
-  { op; ops; ns; words }
+  let words, major = words_loop ops f in
+  Printf.printf "  %-24s %10.1f ns/op  %8.3f minor  %9.1f major words/op\n"
+    op ns words major;
+  { op; ops; ns; words; major }
 
 (* Measured 7.1x when the handle-based hot path landed. *)
 let counters_speedup_min = 2.5
@@ -373,6 +384,18 @@ let arena_ops () =
       fun i ->
         Pk.free arena (Pk.alloc arena ~kind:Pk.Net_rx ~size:64 ~dst_core:0 ~tag:i)
     );
+  ]
+
+(* What one engine and one accelerator pipeline hold before any work:
+   every simulated NIC pays this once, and the fleet holds 8-16 NICs. *)
+let footprint_ops () =
+  let sim = Sim.create () in
+  let n = 2_000 in
+  [
+    ("sim create", n, fun _ -> ignore (Sys.opaque_identity (Sim.create ())));
+    ( "pipeline create",
+      n,
+      fun _ -> ignore (Sys.opaque_identity (Taichi_accel.Pipeline.create sim)) );
   ]
 
 let primitive_ops () =
@@ -417,7 +440,10 @@ let primitive_ops () =
 
 let report_microbench () =
   section "Per-op microbenchmarks";
-  let rows = List.map measure (counter_ops () @ arena_ops () @ primitive_ops ()) in
+  let rows =
+    List.map measure
+      (counter_ops () @ arena_ops () @ footprint_ops () @ primitive_ops ())
+  in
   let ns op = (List.find (fun r -> r.op = op) rows).ns in
   check_floor "counters_speedup" ~min:counters_speedup_min
     (ratio (ns "counters string incr") (ns "counters incr_h"));
@@ -431,15 +457,16 @@ let report_microbench () =
              ("ops", J.Int r.ops);
              ("ns_per_op", J.Float r.ns);
              ("minor_words_per_op", J.Float r.words);
+             ("major_words_per_op", J.Float r.major);
            ])
        rows)
 
 (* --- report ------------------------------------------------------------------- *)
 
 (* Schema taichi-bench-engine-v3. Event and packet counts and the
-   minor-words figures are deterministic for a given seed; fields named
-   [wall_s], [events_per_sec], [ns_per_op] and [speedup] are timings and
-   vary run to run. *)
+   minor- and major-words figures are deterministic for a given seed;
+   fields named [wall_s], [events_per_sec], [ns_per_op] and [speedup]
+   are timings and vary run to run. *)
 let write_report path ~hotpath ~hotpath_full ~microbench =
   let module J = Taichi_metrics.Json in
   let json =

@@ -117,6 +117,11 @@ let arena ?(fixed = false) ~capacity () =
 let arena_capacity a = Array.length a.slots
 let live_packets a = Array.length a.slots - a.free_top
 
+(* Double an arena whose every slot is live. The new slots go on the free
+   list lowest index on top — exactly the stack an arena created at the
+   doubled capacity would hold once the old slots were all live — so the
+   sequence of slot indices handed out does not depend on the starting
+   capacity. *)
 let grow a =
   let cap = Array.length a.slots in
   let ncap = cap * 2 in

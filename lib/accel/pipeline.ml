@@ -153,7 +153,9 @@ let create ?(config = default_config) sim =
     {
       sim;
       config;
-      arena = Packet.arena ~capacity:4096 ();
+      (* Starts small and doubles on demand; slots are handed out in the
+         same order at any starting size (see [Packet.grow]). *)
+      arena = Packet.arena ~capacity:64 ();
       rings = [||];
       in_flight = [||];
       probe_hook = None;

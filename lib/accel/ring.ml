@@ -1,14 +1,19 @@
-(* A bounded descriptor ring as a preallocated circular buffer: push and
-   pop move two ints, no per-entry allocation (the seed used [Queue.t],
-   one cons cell per push). Hot consumers drain with {!pop_burst_into}
-   into a caller-owned scratch array; the list-returning {!pop_burst}
-   survives for cold paths and tests. *)
+(* A bounded descriptor ring as a circular buffer: push and pop move two
+   ints, no per-entry allocation (the seed used [Queue.t], one cons cell
+   per push). Hot consumers drain with {!pop_burst_into} into a
+   caller-owned scratch array; the list-returning {!pop_burst} survives
+   for cold paths and tests.
+
+   The buffer starts empty and doubles, up to [capacity], when a push
+   finds it full, so a ring holds memory for the most descriptors it has
+   held at once rather than for its bound. [capacity] alone decides
+   drops: a push fails exactly when [len = capacity]. *)
 
 type t = {
   name : string;
   capacity : int;
   mutable tenant : int;
-  buf : Packet.t array;
+  mutable buf : Packet.t array; (* length <= capacity *)
   mutable head : int;
   mutable len : int;
   mutable drops : int;
@@ -21,7 +26,7 @@ let create ?(capacity = 4096) ?(tenant = 0) ~name () =
     name;
     capacity;
     tenant;
-    buf = Array.make capacity Packet.dummy;
+    buf = [||];
     head = 0;
     len = 0;
     drops = 0;
@@ -35,12 +40,24 @@ let set_tenant t tenant = t.tenant <- tenant
 let length t = t.len
 let is_empty t = t.len = 0
 
-let wrap t i = if i >= t.capacity then i - t.capacity else i
+let wrap t i =
+  let n = Array.length t.buf in
+  if i >= n then i - n else i
 
 let iter f t =
   for k = 0 to t.len - 1 do
     f t.buf.(wrap t (t.head + k))
   done
+
+(* The buffer is full but the ring is not: double it, re-linearised so
+   the oldest descriptor sits at index 0. *)
+let grow t =
+  let nb = Array.make (min t.capacity (max 16 (2 * t.len))) Packet.dummy in
+  for k = 0 to t.len - 1 do
+    nb.(k) <- t.buf.(wrap t (t.head + k))
+  done;
+  t.buf <- nb;
+  t.head <- 0
 
 let push t pkt =
   if t.len >= t.capacity then begin
@@ -48,6 +65,7 @@ let push t pkt =
     false
   end
   else begin
+    if t.len = Array.length t.buf then grow t;
     t.buf.(wrap t (t.head + t.len)) <- pkt;
     t.len <- t.len + 1;
     t.enqueued <- t.enqueued + 1;

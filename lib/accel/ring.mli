@@ -5,8 +5,11 @@
 type t
 
 val create : ?capacity:int -> ?tenant:int -> name:string -> unit -> t
-(** [create ~name ()] is an empty ring; default capacity 4096, owned by
-    the implicit tenant 0. *)
+(** [create ~name ()] is an empty ring owned by the implicit tenant 0.
+    [capacity] (default 4096) is the drop bound: {!push} fails once that
+    many descriptors are resident. The buffer behind the ring starts
+    empty and doubles as needed up to [capacity], so an idle ring costs
+    a few words, not [capacity]. *)
 
 val name : t -> string
 val capacity : t -> int

@@ -8,15 +8,37 @@
 let sub_bits = 5
 let sub_count = 1 lsl sub_bits (* 32 *)
 
+(* Position of the highest set bit of [v > 0]: a fixed six-step binary
+   search over shifts (an int has at most 63 bits). *)
+let highest_bit v =
+  let x = ref v and h = ref 0 in
+  if !x lsr 32 <> 0 then begin
+    x := !x lsr 32;
+    h := 32
+  end;
+  if !x lsr 16 <> 0 then begin
+    x := !x lsr 16;
+    h := !h + 16
+  end;
+  if !x lsr 8 <> 0 then begin
+    x := !x lsr 8;
+    h := !h + 8
+  end;
+  if !x lsr 4 <> 0 then begin
+    x := !x lsr 4;
+    h := !h + 4
+  end;
+  if !x lsr 2 <> 0 then begin
+    x := !x lsr 2;
+    h := !h + 2
+  end;
+  if !x lsr 1 <> 0 then !h + 1 else !h
+
 (* Index of the bucket containing v (v >= 0). *)
 let index_of v =
   if v < 2 * sub_count then v
   else
-    (* Position of the highest set bit. *)
-    let rec highest_bit x acc =
-      if x <= 1 then acc else highest_bit (x lsr 1) (acc + 1)
-    in
-    let h = highest_bit v 0 in
+    let h = highest_bit v in
     let shift = h - sub_bits in
     let sub = (v lsr shift) - sub_count in
     (((h - sub_bits) + 1) * sub_count) + sub

@@ -292,49 +292,50 @@ let fire_head sim =
 
 (* In-place quicksort of the stride-2 (key, payload) scratch by key
    ascending, insertion sort below a small cutoff. Keys are unique
-   (distinct seqs), so there are no equal-pivot runs to worry about. *)
-let sort_pairs a n =
-  let swap i j =
-    let k = a.(2 * i) and v = a.((2 * i) + 1) in
-    a.(2 * i) <- a.(2 * j);
-    a.((2 * i) + 1) <- a.((2 * j) + 1);
-    a.(2 * j) <- k;
-    a.((2 * j) + 1) <- v
-  in
-  let rec qsort lo hi =
-    if hi - lo < 12 then
-      for i = lo + 1 to hi do
-        let k = a.(2 * i) and v = a.((2 * i) + 1) in
-        let j = ref (i - 1) in
-        while !j >= lo && a.(2 * !j) > k do
-          a.(2 * (!j + 1)) <- a.(2 * !j);
-          a.((2 * (!j + 1)) + 1) <- a.((2 * !j) + 1);
-          decr j
-        done;
-        a.(2 * (!j + 1)) <- k;
-        a.((2 * (!j + 1)) + 1) <- v
-      done
-    else begin
-      let mid = lo + ((hi - lo) / 2) in
-      (* median-of-three pivot, parked at [hi] *)
-      if a.(2 * mid) < a.(2 * lo) then swap lo mid;
-      if a.(2 * hi) < a.(2 * lo) then swap lo hi;
-      if a.(2 * hi) < a.(2 * mid) then swap mid hi;
-      let pivot = a.(2 * mid) in
-      swap mid hi;
-      let store = ref lo in
-      for i = lo to hi - 1 do
-        if a.(2 * i) < pivot then begin
-          if i <> !store then swap i !store;
-          incr store
-        end
+   (distinct seqs), so there are no equal-pivot runs to worry about.
+   Top-level functions over [a], not closures over it, so a drain
+   allocates nothing. *)
+let swap_pairs a i j =
+  let k = a.(2 * i) and v = a.((2 * i) + 1) in
+  a.(2 * i) <- a.(2 * j);
+  a.((2 * i) + 1) <- a.((2 * j) + 1);
+  a.(2 * j) <- k;
+  a.((2 * j) + 1) <- v
+
+let rec qsort_pairs a lo hi =
+  if hi - lo < 12 then
+    for i = lo + 1 to hi do
+      let k = a.(2 * i) and v = a.((2 * i) + 1) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(2 * !j) > k do
+        a.(2 * (!j + 1)) <- a.(2 * !j);
+        a.((2 * (!j + 1)) + 1) <- a.((2 * !j) + 1);
+        decr j
       done;
-      swap !store hi;
-      qsort lo (!store - 1);
-      qsort (!store + 1) hi
-    end
-  in
-  if n > 1 then qsort 0 (n - 1)
+      a.(2 * (!j + 1)) <- k;
+      a.((2 * (!j + 1)) + 1) <- v
+    done
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    (* median-of-three pivot, parked at [hi] *)
+    if a.(2 * mid) < a.(2 * lo) then swap_pairs a lo mid;
+    if a.(2 * hi) < a.(2 * lo) then swap_pairs a lo hi;
+    if a.(2 * hi) < a.(2 * mid) then swap_pairs a mid hi;
+    let pivot = a.(2 * mid) in
+    swap_pairs a mid hi;
+    let store = ref lo in
+    for i = lo to hi - 1 do
+      if a.(2 * i) < pivot then begin
+        if i <> !store then swap_pairs a i !store;
+        incr store
+      end
+    done;
+    swap_pairs a !store hi;
+    qsort_pairs a lo (!store - 1);
+    qsort_pairs a (!store + 1) hi
+  end
+
+let sort_pairs a n = if n > 1 then qsort_pairs a 0 (n - 1)
 
 (* Batch only dense buckets: draining and sorting a near-empty bucket
    costs more than popping it. *)

@@ -4,8 +4,8 @@
     scheduled for the same instant fire in the order they were scheduled,
     making every run deterministic.
 
-    Internally the engine is a calendar timer queue ({!Timerq}: a 32 ns
-    x 2^16-bucket wheel with a binary-heap overflow tier) fed by a
+    Internally the engine is a calendar timer queue ({!Timerq}: a 256 ns
+    x 2^13-bucket wheel with a binary-heap overflow tier) fed by a
     preallocated event pool with free-list recycling, so the schedule /
     cancel / fire hot path allocates nothing: no closures, no per-event
     queue nodes, and handles are immediate ints (slot index packed with

@@ -35,9 +35,10 @@
    {!advance} (the owner calls it whenever its clock moves); pushes are
    always at or after the clock, so they can never land behind [base]. *)
 
-let slot_bits = 5 (* bucket width: 32 ns *)
-let wheel_bits = 16 (* 65536 buckets; horizon = 65536 * 32 ns ~ 2.1 ms *)
+let slot_bits = 8 (* bucket width: 256 ns *)
+let wheel_bits = 13 (* 8192 buckets; horizon = 8192 * 256 ns ~ 2.1 ms *)
 let n_buckets = 1 lsl wheel_bits
+let horizon_ns = n_buckets lsl slot_bits
 let bucket_mask = n_buckets - 1
 let seq_bits = 53
 let seq_mask = (1 lsl seq_bits) - 1
@@ -45,7 +46,7 @@ let seq_mask = (1 lsl seq_bits) - 1
 (* Occupancy bitmap: 32 buckets per l0 word, 32 l0 words per l1 bit, so
    finding the next nonempty bucket is a couple of word reads instead of
    a linear [blen] scan — what keeps fine-grained buckets affordable
-   when events are sparse (a 1 ms gap is ~31k buckets at 32 ns each). *)
+   when events are sparse (a 1 ms gap is ~3.9k buckets at 256 ns each). *)
 let word_bits = 5 (* 32 bucket bits per l0 word *)
 let word_mask = (1 lsl word_bits) - 1
 let l0_words = n_buckets lsr word_bits

@@ -1,6 +1,6 @@
-(** Calendar timer queue: a timing wheel of 2^16 buckets, each 32 ns
+(** Calendar timer queue: a timing wheel of 2^13 buckets, each 256 ns
     wide, with the binary heap ({!Pheap}) as an overflow tier for timers
-    beyond the ~2.1 ms horizon.
+    beyond the ~2.1 ms horizon ({!horizon_ns}).
 
     Payloads are bare ints (the {!Sim} event pool's slot indices); keys
     are (time, seq) pairs and entries dequeue in strict lexicographic
@@ -19,6 +19,12 @@
     earlier than the last advanced time. *)
 
 type t
+
+val horizon_ns : int
+(** The wheel's span, buckets times bucket width (2^21 ns, ~2.1 ms): a
+    timer due less than this far past the start of the last
+    {!advance}d bucket lands in the wheel, a later one in the overflow
+    heap. *)
 
 val create : unit -> t
 

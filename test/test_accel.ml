@@ -41,6 +41,58 @@ let test_ring_overflow_drops () =
   checki "drop count" 1 (Ring.drops r);
   checki "enqueued" 2 (Ring.total_enqueued r)
 
+(* Random push / burst-pop / iter programs against a bounded-queue model
+   ([Queue.t] with the same capacity). The ring's buffer starts empty and
+   doubles up to its capacity; none of that may show: pops, drop and
+   enqueue counts and iter order must match the model after every op.
+   Capacities run 1..300, so programs cross several doublings, hit the
+   drop bound, and grow while the ring is wrapped (pops move the head
+   before later pushes fill the buffer). *)
+let prop_ring_model =
+  QCheck.Test.make ~name:"ring == bounded queue model (growth, wrap, drops)"
+    ~count:300
+    QCheck.(
+      pair (int_range 1 300)
+        (list_of_size (Gen.int_range 0 400) (pair (int_bound 9) (int_bound 40))))
+    (fun (capacity, ops) ->
+      let r = Ring.create ~capacity ~name:"r" () in
+      let model = Queue.create () in
+      let drops = ref 0 and enqueued = ref 0 in
+      let scratch = Array.make 64 Packet.dummy in
+      let model_pop max =
+        List.init (min max (Queue.length model)) (fun _ -> Queue.pop model)
+      in
+      let pids l = List.map (fun p -> p.Packet.pid) l in
+      let step (op, a) =
+        (match op with
+        | 0 | 1 | 2 | 3 | 4 | 5 ->
+            (* pushes dominate, so the ring fills and grows *)
+            let p = pkt ~tag:a () in
+            let ok = Ring.push r p in
+            if Queue.length model < capacity then begin
+              Queue.push p model;
+              incr enqueued;
+              ok
+            end
+            else begin
+              incr drops;
+              not ok
+            end
+        | 6 ->
+            let n = Ring.pop_burst_into r scratch ~max:a in
+            pids (Array.to_list (Array.sub scratch 0 n))
+            = pids (model_pop (min a (Array.length scratch)))
+        | 7 -> pids (Ring.pop_burst r ~max:a) = pids (model_pop a)
+        | _ ->
+            let seen = ref [] in
+            Ring.iter (fun p -> seen := p :: !seen) r;
+            pids (List.rev !seen) = pids (List.of_seq (Queue.to_seq model)))
+        && Ring.length r = Queue.length model
+        && Ring.drops r = !drops
+        && Ring.total_enqueued r = !enqueued
+      in
+      List.for_all step ops)
+
 (* --- State table --------------------------------------------------------- *)
 
 let test_state_table () =
@@ -172,6 +224,39 @@ let prop_arena_roundtrip =
       && List.for_all intact !live
       && Packet.live_packets arena = List.length !live)
 
+(* The pipeline's arena starts at 64 slots and doubles; slot identity must
+   not depend on that. The same random alloc/free program on a 64-slot
+   and a 4096-slot arena yields the same slot index for every alloc and
+   the same generation at every step. *)
+let prop_arena_capacity_invariant =
+  QCheck.Test.make ~name:"packet arena index order independent of capacity"
+    ~count:200
+    QCheck.(list_of_size (Gen.int_range 0 600) (pair (int_bound 2) small_nat))
+    (fun ops ->
+      let small = Packet.arena ~capacity:64 () in
+      let large = Packet.arena ~capacity:4096 () in
+      let live = ref [] in
+      let alloc a = Packet.alloc a ~kind:Packet.Net_rx ~size:64 ~dst_core:0 ~tag:0 in
+      List.for_all
+        (fun (op, k) ->
+          match (op, !live) with
+          | 2, (_ :: _ as l) ->
+              let i = k mod List.length l in
+              let ps, pl = List.nth l i in
+              Packet.free small ps;
+              Packet.free large pl;
+              live := List.filteri (fun j _ -> j <> i) l;
+              Packet.generation small (Packet.index ps)
+              = Packet.generation large (Packet.index pl)
+          | _ ->
+              let ps = alloc small and pl = alloc large in
+              live := (ps, pl) :: !live;
+              Packet.index ps = Packet.index pl
+              && Packet.generation small (Packet.index ps)
+                 = Packet.generation large (Packet.index pl))
+        ops
+      && Packet.live_packets small = Packet.live_packets large)
+
 let test_arena_misuse () =
   let arena = Packet.arena ~capacity:2 () in
   let other = Packet.arena ~capacity:2 () in
@@ -210,4 +295,6 @@ let suite =
     ("cost model defaults", `Quick, test_cost_model_defaults);
     ("packet arena misuse", `Quick, test_arena_misuse);
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
+    QCheck_alcotest.to_alcotest prop_ring_model;
+    QCheck_alcotest.to_alcotest prop_arena_capacity_invariant;
   ]

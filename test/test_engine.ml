@@ -210,13 +210,13 @@ let test_sim_tombstone_compaction () =
 
 (* --- Timerq memory --------------------------------------------------------- *)
 
-(* A moving clock with 8 pending timers sweeps every ring slot of the
-   wheel four times over (~84k pops, each timer re-armed 400-1200 ns
-   ahead; a head bucket holding two or more entries is drained whole and
-   re-armed), then a compaction drops the odd payloads. The wheel must
-   hold memory for the buckets nonempty at the same time, not for every
-   bucket it ever used: the queue's reachable size ends within a small
-   constant of its size at creation. *)
+(* A moving clock with 8 pending timers sweeps the wheel's ring four
+   times over (4 x [Timerq.horizon_ns]; ~92k pops, each timer re-armed
+   400-1200 ns ahead; a head bucket holding two or more entries is
+   drained whole and re-armed), then a compaction drops the odd
+   payloads. The wheel must hold memory for the buckets nonempty at the
+   same time, not for every bucket it ever used: the queue's reachable
+   size ends within a small constant of its size at creation. *)
 let test_timerq_memory_bounded () =
   let q = Timerq.create () in
   let words0 = Obj.reachable_words (Obj.repr q) in
@@ -229,7 +229,7 @@ let test_timerq_memory_bounded () =
   for k = 0 to 7 do
     arm (k * 100)
   done;
-  let horizon = 4 * 65536 * 32 in
+  let horizon = 4 * Timerq.horizon_ns in
   let scratch = Array.make 64 0 in
   let pops = ref 0 in
   while Timerq.find_next q && Timerq.next_time q < horizon do
@@ -535,9 +535,41 @@ let prop_bucket_monotone =
       let ilo = Bucket_layout.index_of lo and ihi = Bucket_layout.index_of hi in
       ilo <= ihi && Bucket_layout.upper_of ilo <= Bucket_layout.upper_of ihi)
 
+(* [index_of]'s highest-bit search is a fixed binary search over shifts;
+   it must place every value exactly where the one-bit-per-step
+   definition it replaced did, so Histogram and Quantile outputs cannot
+   move. *)
+let reference_index_of v =
+  let sub_bits = Bucket_layout.sub_bits and sub_count = Bucket_layout.sub_count in
+  if v < 2 * sub_count then v
+  else
+    let rec highest_bit x acc =
+      if x <= 1 then acc else highest_bit (x lsr 1) (acc + 1)
+    in
+    let h = highest_bit v 0 in
+    let shift = h - sub_bits in
+    let sub = (v lsr shift) - sub_count in
+    (((h - sub_bits) + 1) * sub_count) + sub
+
+let prop_bucket_index_reference =
+  QCheck.Test.make ~name:"bucket index_of == bit-by-bit reference" ~count:5000
+    any_bucket_value
+    (fun v -> Bucket_layout.index_of v = reference_index_of v)
+
 let test_bucket_saturation () =
   checki "top bucket saturates at max_int" max_int
     (Bucket_layout.upper_of (Bucket_layout.index_of max_int));
+  (* Every power of two and its neighbours are the edges of the
+     highest-bit search's steps. *)
+  for b = 0 to 61 do
+    List.iter
+      (fun v ->
+        checki "index_of at a power-of-two edge" (reference_index_of v)
+          (Bucket_layout.index_of v))
+      [ (1 lsl b) - 1; 1 lsl b; (1 lsl b) + 1 ]
+  done;
+  checki "index_of max_int" (reference_index_of max_int)
+    (Bucket_layout.index_of max_int);
   (* The exact layout below 2 * sub_count is one-to-one. *)
   for v = 0 to (2 * Bucket_layout.sub_count) - 1 do
     checki "exact range is identity" v
@@ -965,6 +997,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_counters_handle_string_equiv;
     QCheck_alcotest.to_alcotest prop_bucket_upper_covers;
     QCheck_alcotest.to_alcotest prop_bucket_monotone;
+    QCheck_alcotest.to_alcotest prop_bucket_index_reference;
     QCheck_alcotest.to_alcotest prop_histogram_percentile_reference;
     QCheck_alcotest.to_alcotest prop_histogram_cdf_reference;
   ]

@@ -206,7 +206,7 @@ let test_alloc_free_primitives () =
    table's CP churn (background monitors plus a 5 ms spinlocked task
    every 1 ms), 100 pings 2 ms apart on the first networking core, seed
    42. Allocation is deterministic, so the words allocated per engine
-   event (setup included) are a fixed number for this code: 29.2 over
+   event (setup included) are a fixed number for this code: 28.9 over
    168,037 events (35.9 with the boxed RNG state). The ceiling catches a
    regression back towards the hashing and eager trace formatting this
    path used to do: the same cell allocated 153.5 words per event before
@@ -240,6 +240,52 @@ let test_alloc_ceiling () =
     Alcotest.failf "%.1f minor words per event (ceiling %.0f, %d events)"
       per_event minor_words_ceiling events
 
+(* --- fixed footprint ------------------------------------------------------ *)
+
+(* The fleet layer holds 8-16 whole systems at once, so what one idle
+   system holds is multiplied. Every NIC-level structure is sized by its
+   live contents: the calendar wheel's bucket table is 2^13 slots, the
+   packet arena starts at 64 descriptors and the rings' buffers start
+   empty, all growing on demand. An empty [Sim] is ~19.8 k words and a
+   warmed-up system 36-60 k live words. The ceilings leave headroom for
+   small additions but not for a worst-case preallocation: a 2^16-bucket
+   wheel alone is 131 k words, and a 4096-slot arena takes the fleet
+   system to 120 k. Live words are counted after a compaction, so only
+   what the system keeps reachable counts. *)
+let sim_words_ceiling = 40_000
+let system_words_ceiling = 100_000
+
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+let fleet_policy =
+  let open Taichi_core in
+  let c = Config.no_hw_probe Config.default in
+  let c = Config.with_tenants c [ Tenant.spec ~weight:2 "alpha"; Tenant.spec "bravo" ] in
+  Policy.Taichi (Config.with_churn (Config.with_overload c))
+
+let test_footprint_ceiling () =
+  let words = Obj.reachable_words (Obj.repr (Sim.create ())) in
+  if words > sim_words_ceiling then
+    Alcotest.failf "an empty Sim holds %d words (ceiling %d)" words
+      sim_words_ceiling;
+  List.iter
+    (fun (name, policy) ->
+      let w0 = live_words () in
+      let sys = System.create ~seed:42 policy in
+      System.warmup sys;
+      let grown = live_words () - w0 in
+      ignore (Sys.opaque_identity sys);
+      if grown > system_words_ceiling then
+        Alcotest.failf "%s: create + warmup holds %d live words (ceiling %d)"
+          name grown system_words_ceiling)
+    [
+      ("static_partition", Policy.Static_partition);
+      ("taichi_default", Policy.taichi_default);
+      ("fleet", fleet_policy);
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_placed_order;
@@ -248,4 +294,6 @@ let suite =
     ("allocation-free primitives: counters, lanes, arena", `Quick,
      test_alloc_free_primitives);
     ("allocation ceiling: table5 taichi cell", `Quick, test_alloc_ceiling);
+    ("footprint ceiling: empty sim and idle systems", `Quick,
+     test_footprint_ceiling);
   ]
